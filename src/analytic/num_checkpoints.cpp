@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/optimize.hpp"
-
 namespace adacheck::analytic {
 
 int max_sub_intervals(double interval, const model::CheckpointCosts& costs) {
   // A sub-interval shorter than the cheaper of the two checkpoint
   // operations can never pay for itself; also hard-cap for safety.
+  // Clamp before the cast: with a zero-cost operation the ratio is far
+  // beyond the range of int.
   const double cheapest = std::max(std::min(costs.store, costs.compare), 1e-9);
-  const double cap = interval / cheapest;
-  return std::clamp(static_cast<int>(cap), 1, 4096);
+  const double cap = std::min(interval / cheapest, 4096.0);
+  return cap >= 1.0 ? static_cast<int>(cap) : 1;
 }
 
 namespace {
@@ -42,6 +42,20 @@ int fig2_optimize(double interval, int m_max, EvalContinuous r_cont,
 
 int num_scp(const ScpRenewalParams& params) {
   params.validate();
+  return argmin_sub_intervals(
+      max_sub_intervals(params.interval, params.costs),
+      [&](int m) { return scp_expected_time_unchecked(params, m); });
+}
+
+int num_ccp(const CcpRenewalParams& params) {
+  params.validate();
+  return argmin_sub_intervals(
+      max_sub_intervals(params.interval, params.costs),
+      [&](int m) { return ccp_expected_time_unchecked(params, m); });
+}
+
+int num_scp_fig2(const ScpRenewalParams& params) {
+  params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
   return fig2_optimize(
       params.interval, m_max,
@@ -49,7 +63,7 @@ int num_scp(const ScpRenewalParams& params) {
       [&](int m) { return scp_expected_time(params, m); });
 }
 
-int num_ccp(const CcpRenewalParams& params) {
+int num_ccp_fig2(const CcpRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
   return fig2_optimize(
@@ -60,24 +74,16 @@ int num_ccp(const CcpRenewalParams& params) {
 
 int num_scp_exhaustive(const ScpRenewalParams& params) {
   params.validate();
-  const int m_max = max_sub_intervals(params.interval, params.costs);
-  const auto best = util::integer_argmin(
-      [&](std::int64_t m) {
-        return scp_expected_time(params, static_cast<int>(m));
-      },
-      1, m_max, /*early_stop_rises=*/8);
-  return static_cast<int>(best.x);
+  return argmin_sub_intervals(
+      max_sub_intervals(params.interval, params.costs),
+      [&](int m) { return scp_expected_time(params, m); });
 }
 
 int num_ccp_exhaustive(const CcpRenewalParams& params) {
   params.validate();
-  const int m_max = max_sub_intervals(params.interval, params.costs);
-  const auto best = util::integer_argmin(
-      [&](std::int64_t m) {
-        return ccp_expected_time(params, static_cast<int>(m));
-      },
-      1, m_max, /*early_stop_rises=*/8);
-  return static_cast<int>(best.x);
+  return argmin_sub_intervals(
+      max_sub_intervals(params.interval, params.costs),
+      [&](int m) { return ccp_expected_time(params, m); });
 }
 
 }  // namespace adacheck::analytic

@@ -30,6 +30,10 @@ double ccp_closed_form(const CcpRenewalParams& params, double t2, double m) {
 double ccp_expected_time(const CcpRenewalParams& params, int m) {
   params.validate();
   if (m < 1) throw std::invalid_argument("ccp_expected_time: m < 1");
+  return ccp_expected_time_unchecked(params, m);
+}
+
+double ccp_expected_time_unchecked(const CcpRenewalParams& params, int m) {
   const double md = static_cast<double>(m);
   return ccp_closed_form(params, params.interval / md, md);
 }

@@ -34,6 +34,10 @@ struct CcpRenewalParams {
 /// Closed-form expected completion time R2(m), m >= 1.
 double ccp_expected_time(const CcpRenewalParams& params, int m);
 
+/// ccp_expected_time, bit for bit, without checking params or m: for
+/// searches that validated params once and pass m >= 1.
+double ccp_expected_time_unchecked(const CcpRenewalParams& params, int m);
+
 /// Continuous relaxation R2(T2) for the Fig. 2-style optimizer,
 /// 0 < T2 <= T (evaluated without integer rounding — the closed form is
 /// well-defined for real m = T/T2).

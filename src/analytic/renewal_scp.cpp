@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace adacheck::analytic {
 
@@ -16,6 +15,10 @@ void ScpRenewalParams::validate() const {
 double scp_expected_time(const ScpRenewalParams& params, int m) {
   params.validate();
   if (m < 1) throw std::invalid_argument("scp_expected_time: m < 1");
+  return scp_expected_time_unchecked(params, m);
+}
+
+double scp_expected_time_unchecked(const ScpRenewalParams& params, int m) {
   const double T = params.interval;
   const double t1 = T / static_cast<double>(m);
   const double ts = params.costs.store;
@@ -36,17 +39,19 @@ double scp_expected_time(const ScpRenewalParams& params, int m) {
   // incrementally: W(r+1) = q*(W(r) + q^0*... ) — note
   // W(r+1) = sum_{j=1..r} q^j G(r+1-j) = q * sum_{i=0..r-1} q^i G(r-i)
   //        = q * (G(r) + W(r)).
-  std::vector<double> G(static_cast<std::size_t>(m) + 1, 0.0);
+  // Only G(r) and W(r) of the current r are live, so two scalars hold
+  // the whole recursion.
+  double G = 0.0;  // G(r) for current r
   double W = 0.0;  // W(r) for current r
   double q_pow_r = 1.0;
   for (int r = 1; r <= m; ++r) {
     q_pow_r *= q;
     const double S = static_cast<double>(r) * (t1 + ts) + tcp;
     const double rhs = S + (1.0 - q_pow_r) * tr + (1.0 - q) * W;
-    G[static_cast<std::size_t>(r)] = rhs / q;
-    W = q * (G[static_cast<std::size_t>(r)] + W);
+    G = rhs / q;
+    W = q * (G + W);
   }
-  return G[static_cast<std::size_t>(m)];
+  return G;
 }
 
 double scp_expected_time_continuous(const ScpRenewalParams& params,

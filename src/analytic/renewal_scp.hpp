@@ -32,8 +32,12 @@ struct ScpRenewalParams {
 };
 
 /// Exact expected completion time R1(m) of one CSCP interval with m
-/// sub-intervals.  O(m) per call via suffix sums.  m >= 1.
+/// sub-intervals.  O(m) time and O(1) memory per call.  m >= 1.
 double scp_expected_time(const ScpRenewalParams& params, int m);
+
+/// scp_expected_time, bit for bit, without checking params or m: for
+/// searches that validated params once and pass m >= 1.
+double scp_expected_time_unchecked(const ScpRenewalParams& params, int m);
 
 /// Continuous relaxation R1(T1) used by the Fig. 2 optimizer: evaluates
 /// the recursion at m = T/T1 rounded to the nearest integer >= 1, with

@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "analytic/num_checkpoints.hpp"
-#include "util/optimize.hpp"
 
 namespace adacheck::analytic {
 
@@ -32,9 +31,9 @@ TmrWindowOdds tmr_window_odds(double expected_faults) {
   return odds;
 }
 
-double tmr_ccp_expected_time(const TmrRenewalParams& params, int m) {
-  params.validate();
-  if (m < 1) throw std::invalid_argument("tmr_ccp_expected_time: m < 1");
+namespace {
+
+double tmr_ccp_kernel(const TmrRenewalParams& params, int m) {
   const double md = static_cast<double>(m);
   const double t2 = params.interval / md;
   const double tcp = params.costs.compare;
@@ -63,9 +62,21 @@ double tmr_ccp_expected_time(const TmrRenewalParams& params, int m) {
   return expected_attempt / pass_pow;
 }
 
-double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
-  params.validate();
-  if (m < 1) throw std::invalid_argument("tmr_scp_expected_time: m < 1");
+/// Scratch for tmr_scp_kernel: b[1..m] and G[1..m] for every m up to
+/// the size it was made for.  Uninitialized; the kernel writes each
+/// entry before reading it.
+struct TmrScpScratch {
+  explicit TmrScpScratch(int m_max)
+      : size(static_cast<std::size_t>(m_max) + 1),
+        data(std::make_unique_for_overwrite<double[]>(2 * size)) {}
+  std::size_t size;
+  std::unique_ptr<double[]> data;
+  double* b() const { return data.get(); }
+  double* G() const { return data.get() + size; }
+};
+
+double tmr_scp_kernel(const TmrRenewalParams& params, int m,
+                      const TmrScpScratch& scratch) {
   const double t1 = params.interval / static_cast<double>(m);
   const double ts = params.costs.store;
   const double tcp = params.costs.compare;
@@ -74,62 +85,69 @@ double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
   // Per-window Markov transitions over {0 corrupt, 1 corrupt, lost}.
   const double stay1 = std::exp(-2.0 * params.lambda * t1 / 3.0);
 
-  // pi0[j], pi1[j]: state distribution after j windows (absorbing loss);
+  // pi0, pi1: state distribution after r windows (absorbing loss);
   // b[j]: probability the majority is first lost in window j.
-  std::vector<double> pi0(static_cast<std::size_t>(m) + 1, 0.0);
-  std::vector<double> pi1(static_cast<std::size_t>(m) + 1, 0.0);
-  std::vector<double> b(static_cast<std::size_t>(m) + 1, 0.0);
-  pi0[0] = 1.0;
-  for (int j = 1; j <= m; ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    pi0[js] = pi0[js - 1] * odds.clean;
-    pi1[js] = pi0[js - 1] * odds.single + pi1[js - 1] * stay1;
-    b[js] = (pi0[js - 1] + pi1[js - 1]) - (pi0[js] + pi1[js]);
-  }
-
+  //
   // G(r): expected time to complete the last r sub-intervals, entering
   // consistent.  Detection happens only at the CSCP, so a failed
   // attempt still pays the full S(r); the prefix before the loss
   // boundary is committed (its SCPs hold a 2-of-3 majority).
   //   G(r) = S(r) + pi1(r)*t_r
   //        + sum_{j=1..r} b_j * (t_r + G(r-j+1)).
-  std::vector<double> G(static_cast<std::size_t>(m) + 1, 0.0);
+  // Step r needs pi1(r), b[1..r] and G[1..r-1] only, so one pass fills
+  // b and G together.
+  double* const b = scratch.b();
+  double* const G = scratch.G();
+  double pi0 = 1.0;
+  double pi1 = 0.0;
   for (int r = 1; r <= m; ++r) {
-    const auto rs = static_cast<std::size_t>(r);
+    const double next0 = pi0 * odds.clean;
+    const double next1 = pi0 * odds.single + pi1 * stay1;
+    b[r] = (pi0 + pi1) - (next0 + next1);
+    pi0 = next0;
+    pi1 = next1;
+
     const double S = static_cast<double>(r) * (t1 + ts) + tcp;
-    double rhs = S + pi1[rs] * tr;
+    double rhs = S + pi1 * tr;
     for (int j = 2; j <= r; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      rhs += b[js] * (tr + G[static_cast<std::size_t>(r - j + 1)]);
+      rhs += b[j] * (tr + G[r - j + 1]);
     }
     rhs += b[1] * tr;  // j = 1 term's non-recursive part
     const double denom = 1.0 - b[1];
     if (denom <= 0.0) return std::numeric_limits<double>::infinity();
-    G[rs] = rhs / denom;
+    G[r] = rhs / denom;
   }
-  return G[static_cast<std::size_t>(m)];
+  return G[m];
+}
+
+}  // namespace
+
+double tmr_ccp_expected_time(const TmrRenewalParams& params, int m) {
+  params.validate();
+  if (m < 1) throw std::invalid_argument("tmr_ccp_expected_time: m < 1");
+  return tmr_ccp_kernel(params, m);
+}
+
+double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
+  params.validate();
+  if (m < 1) throw std::invalid_argument("tmr_scp_expected_time: m < 1");
+  return tmr_scp_kernel(params, m, TmrScpScratch(m));
 }
 
 int num_scp_tmr(const TmrRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
-  const auto best = util::integer_argmin(
-      [&](std::int64_t m) {
-        return tmr_scp_expected_time(params, static_cast<int>(m));
-      },
-      1, m_max, /*early_stop_rises=*/8);
-  return static_cast<int>(best.x);
+  const TmrScpScratch scratch(m_max);  // one buffer for the whole scan
+  return argmin_sub_intervals(m_max, [&](int m) {
+    return tmr_scp_kernel(params, m, scratch);
+  });
 }
 
 int num_ccp_tmr(const TmrRenewalParams& params) {
   params.validate();
-  const int m_max = max_sub_intervals(params.interval, params.costs);
-  const auto best = util::integer_argmin(
-      [&](std::int64_t m) {
-        return tmr_ccp_expected_time(params, static_cast<int>(m));
-      },
-      1, m_max, /*early_stop_rises=*/8);
-  return static_cast<int>(best.x);
+  return argmin_sub_intervals(
+      max_sub_intervals(params.interval, params.costs),
+      [&](int m) { return tmr_ccp_kernel(params, m); });
 }
 
 }  // namespace adacheck::analytic

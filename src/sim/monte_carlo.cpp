@@ -184,6 +184,9 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   // results as if they were complete).
   std::atomic<bool> abort{false};
   std::atomic<bool> skipped{false};
+  const auto stop_requested = [&] {
+    return options.cancel != nullptr && options.cancel->stop_requested();
+  };
 
   // Merges one completed unbudgeted cell's partials (all written,
   // ordered by the remaining-counter's acq_rel decrement) and reports
@@ -205,7 +208,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
         skipped.store(true, std::memory_order_relaxed);
         return;
       }
-      if (options.cancel != nullptr && options.cancel->stop_requested()) {
+      if (stop_requested()) {
         abort.store(true, std::memory_order_relaxed);
         skipped.store(true, std::memory_order_relaxed);
         return;
@@ -324,6 +327,10 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
         }
       }
     }
+    // Workers check the token only at chunk start, so a stop requested
+    // after the last chunk was claimed (from the last on_cell_done, say,
+    // which for budgeted cells fires just above) reaches none of them.
+    if (stop_requested()) throw SweepCancelled();
     round_begin = round_end;
   }
 

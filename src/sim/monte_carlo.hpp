@@ -105,8 +105,9 @@ struct RunCellsOptions {
   /// Cell-completion / progress callbacks (serialized by the runner);
   /// null = no tracking overhead at all.
   ISweepObserver* observer = nullptr;
-  /// Cooperative stop flag; when it fires before the queue is fully
-  /// executed, run_cells_ex throws SweepCancelled.
+  /// Cooperative stop flag; when it fires before run_cells_ex returns
+  /// (from an observer callback included), run_cells_ex throws
+  /// SweepCancelled.
   CancellationToken* cancel = nullptr;
 };
 

@@ -89,8 +89,8 @@ class CancellationToken {
   std::atomic<bool> stop_{false};
 };
 
-/// Thrown by run_cells / run_sweep when a CancellationToken stopped the
-/// sweep before every chunk executed.
+/// Thrown by run_cells / run_sweep when a CancellationToken was stopped
+/// before the sweep returned.
 class SweepCancelled : public std::runtime_error {
  public:
   SweepCancelled() : std::runtime_error("sweep cancelled") {}

@@ -49,27 +49,6 @@ ScalarMinimum golden_section_minimize(const std::function<double(double)>& f,
   return {xm, f(xm)};
 }
 
-IntegerMinimum integer_argmin(const std::function<double(std::int64_t)>& f,
-                              std::int64_t lo, std::int64_t hi,
-                              int early_stop_rises) {
-  if (lo > hi) throw std::invalid_argument("integer_argmin: lo > hi");
-  IntegerMinimum best{lo, f(lo)};
-  double prev = best.fx;
-  int rises = 0;
-  for (std::int64_t x = lo + 1; x <= hi; ++x) {
-    const double fx = f(x);
-    if (fx < best.fx) {
-      best = {x, fx};
-    }
-    if (early_stop_rises > 0) {
-      rises = fx > prev ? rises + 1 : 0;
-      if (rises >= early_stop_rises) break;
-    }
-    prev = fx;
-  }
-  return best;
-}
-
 double bisect_root(const std::function<double(double)>& f, double lo,
                    double hi, double tol) {
   if (!std::isfinite(lo) || !std::isfinite(hi)) {

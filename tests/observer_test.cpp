@@ -153,6 +153,43 @@ TEST(Observer, CancellationThrowsSweepCancelledWithoutDeadlock) {
   EXPECT_EQ(after[0].stats.completion.trials(), 600u);
 }
 
+/// Requests stop from the last on_cell_done, when every chunk has
+/// already been claimed and no worker will look at the token again.
+class CancelOnLastCell : public ISweepObserver {
+ public:
+  CancelOnLastCell(CancellationToken& token, std::size_t cells)
+      : token_(token), cells_(cells) {}
+  void on_cell_done(std::size_t, const CellResult&) override {
+    if (++done_ == cells_) token_.request_stop();
+  }
+
+ private:
+  CancellationToken& token_;
+  std::size_t cells_;
+  std::size_t done_ = 0;  // callbacks are serialized by the runner
+};
+
+TEST(Observer, StopFromLastCellDoneStillThrowsSweepCancelled) {
+  for (const int threads : {1, 4}) {
+    for (const bool budgeted : {false, true}) {
+      auto jobs = three_jobs();
+      // A loose target stops each budgeted cell after its first wave;
+      // those cells report done after the round barrier.
+      if (budgeted) {
+        for (auto& job : jobs) job.config.budget.target_p_halfwidth = 0.5;
+      }
+      CancellationToken token;
+      CancelOnLastCell observer(token, jobs.size());
+      RunCellsOptions options;
+      options.threads = threads;
+      options.observer = &observer;
+      options.cancel = &token;
+      EXPECT_THROW(run_cells_ex(jobs, options), SweepCancelled)
+          << "threads=" << threads << " budgeted=" << budgeted;
+    }
+  }
+}
+
 TEST(Observer, PreCancelledTokenRunsNothing) {
   CancellationToken token;
   token.request_stop();

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "analytic/num_checkpoints.hpp"
 #include "analytic/renewal_ccp.hpp"
@@ -96,6 +98,48 @@ TEST(TmrRenewal, OptimalMNeedsFewerInnerCheckpointsThanDmr) {
   const int m_tmr = num_scp_tmr(tmr_params(800.0, lambda, costs));
   EXPECT_LE(m_tmr, m_dmr);
   EXPECT_GE(m_tmr, 1);
+}
+
+/// The SCP-mode recursion as first written: separate pi0/pi1/b passes
+/// into fresh vectors, then G.  The reference for bit-identity.
+double reference_tmr_scp(const TmrRenewalParams& params, int m) {
+  const double t1 = params.interval / static_cast<double>(m);
+  const double ts = params.costs.store;
+  const double tcp = params.costs.compare;
+  const double tr = params.costs.rollback;
+  const auto odds = tmr_window_odds(params.lambda * t1);
+  const double stay1 = std::exp(-2.0 * params.lambda * t1 / 3.0);
+  const auto n = static_cast<std::size_t>(m) + 1;
+  std::vector<double> pi0(n, 0.0), pi1(n, 0.0), b(n, 0.0), G(n, 0.0);
+  pi0[0] = 1.0;
+  for (std::size_t j = 1; j < n; ++j) {
+    pi0[j] = pi0[j - 1] * odds.clean;
+    pi1[j] = pi0[j - 1] * odds.single + pi1[j - 1] * stay1;
+    b[j] = (pi0[j - 1] + pi1[j - 1]) - (pi0[j] + pi1[j]);
+  }
+  for (std::size_t r = 1; r < n; ++r) {
+    double rhs = static_cast<double>(r) * (t1 + ts) + tcp + pi1[r] * tr;
+    for (std::size_t j = 2; j <= r; ++j) rhs += b[j] * (tr + G[r - j + 1]);
+    rhs += b[1] * tr;
+    const double denom = 1.0 - b[1];
+    if (denom <= 0.0) return std::numeric_limits<double>::infinity();
+    G[r] = rhs / denom;
+  }
+  return G[static_cast<std::size_t>(m)];
+}
+
+TEST(TmrRenewal, ScpRecursionBitIdenticalToReference) {
+  for (const double rollback : {0.0, 30.0}) {
+    auto costs = model::CheckpointCosts::paper_scp_flavor();
+    costs.rollback = rollback;
+    for (const double lambda : {0.0, 1e-4, 4e-3, 2e-2}) {
+      for (const int m : {1, 2, 7, 40, 300}) {
+        const auto p = tmr_params(800.0, lambda, costs);
+        EXPECT_EQ(tmr_scp_expected_time(p, m), reference_tmr_scp(p, m))
+            << "lambda=" << lambda << " m=" << m << " t_r=" << rollback;
+      }
+    }
+  }
 }
 
 TEST(TmrRenewal, ValidatesArguments) {

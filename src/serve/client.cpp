@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,6 +33,10 @@ LineClient::LineClient(const std::string& host, int port) {
     ::close(fd_);
     throw std::runtime_error(message);
   }
+  // Requests are whole lines sent at once; never hold one back waiting
+  // for the ACK of the previous.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 LineClient::~LineClient() {
@@ -45,6 +50,7 @@ void LineClient::send_line(const std::string& line) {
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) throw std::runtime_error("client: connection lost");
     sent += static_cast<std::size_t>(n);
   }
@@ -60,6 +66,7 @@ std::optional<std::string> LineClient::recv_line() {
     }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       if (buffer_.empty()) return std::nullopt;
       return std::exchange(buffer_, std::string());

@@ -53,6 +53,12 @@ void count_terminal(JobState state) {
   }
 }
 
+void set_queue_depth(std::size_t depth) {
+  if (obs::Registry::instance().enabled()) {
+    ServeMetrics::get().queue_depth.set(static_cast<long long>(depth));
+  }
+}
+
 }  // namespace
 
 const char* to_string(JobState state) {
@@ -144,23 +150,20 @@ std::uint64_t JobManager::submit(JobRequest request) {
   const bool telemetry = obs::Registry::instance().enabled();
   std::unique_lock<std::mutex> lock(mu_);
   if (stop_) throw std::runtime_error("job manager is shut down");
-  if (queued_ >= options_.max_queued) {
+  if (queue_.size() >= options_.max_queued) {
     if (telemetry) ServeMetrics::get().rejected_queue_full.add(1);
     throw QueueFull(options_.max_queued);
   }
-  auto job = std::make_unique<Job>();
+  auto job = std::make_shared<Job>();
   job->id = next_id_++;
   job->request = std::move(request);
   job->cells_total = cells;
   if (telemetry) job->submitted_us = obs::now_micros();
   const std::uint64_t id = job->id;
-  jobs_.emplace(id, std::move(job));
-  ++queued_;
-  if (telemetry) {
-    auto& metrics = ServeMetrics::get();
-    metrics.jobs_submitted.add(1);
-    metrics.queue_depth.set(static_cast<long long>(queued_));
-  }
+  jobs_.emplace(id, job);
+  queue_.emplace(queue_key(*job), std::move(job));
+  if (telemetry) ServeMetrics::get().jobs_submitted.add(1);
+  set_queue_depth(queue_.size());
   queue_cv_.notify_one();
   return id;
 }
@@ -168,85 +171,89 @@ std::uint64_t JobManager::submit(JobRequest request) {
 std::uint64_t JobManager::record_invalid(std::string source,
                                          std::string error) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto job = std::make_unique<Job>();
+  auto job = std::make_shared<Job>();
   job->id = next_id_++;
   job->request.source = std::move(source);
-  job->state = JobState::kFailed;
   job->error = std::move(error);
   const std::uint64_t id = job->id;
-  jobs_.emplace(id, std::move(job));
-  count_terminal(JobState::kFailed);
-  stream_cv_.notify_all();
+  jobs_.emplace(id, job);
+  finish_locked(*job, JobState::kFailed);
   return id;
 }
 
-JobManager::Job* JobManager::find_locked(std::uint64_t id) const {
+JobManager::QueueKey JobManager::queue_key(const Job& job) {
+  return {-static_cast<long long>(job.request.priority), job.id};
+}
+
+JobManager::JobHandle JobManager::find(std::uint64_t id) const {
+  std::unique_lock<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : it->second.get();
+  return it == jobs_.end() ? nullptr : it->second;
+}
+
+JobInfo JobManager::info_locked(const Job& job) const {
+  JobInfo info;
+  info.id = job.id;
+  info.name = job.request.scenario.name;
+  info.source = job.request.source;
+  info.state = job.state;
+  info.priority = job.request.priority;
+  info.cells_total = job.cells_total;
+  info.cells_done = job.cells_done;
+  info.runs_done = job.runs_done;
+  info.runs_executed = job.runs_executed;
+  info.jsonl_bytes = job.jsonl.size();
+  info.error = job.error;
+  info.wall_seconds = job.state == JobState::kRunning
+                          ? seconds_since(job.started)
+                          : job.wall_seconds;
+  return info;
 }
 
 std::optional<JobInfo> JobManager::status(std::uint64_t id) const {
   std::unique_lock<std::mutex> lock(mu_);
-  const Job* job = find_locked(id);
-  if (job == nullptr) return std::nullopt;
-  JobInfo info;
-  info.id = job->id;
-  info.name = job->request.scenario.name;
-  info.source = job->request.source;
-  info.state = job->state;
-  info.priority = job->request.priority;
-  info.cells_total = job->cells_total;
-  info.cells_done = job->cells_done;
-  info.runs_done = job->runs_done;
-  info.runs_executed = job->runs_executed;
-  info.jsonl_bytes = job->jsonl.size();
-  info.error = job->error;
-  info.wall_seconds = job->state == JobState::kRunning
-                          ? seconds_since(job->started)
-                          : job->wall_seconds;
-  return info;
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  return info_locked(*it->second);
 }
 
 std::vector<JobInfo> JobManager::list() const {
-  std::vector<std::uint64_t> ids;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ids.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) ids.push_back(id);
-  }
+  std::unique_lock<std::mutex> lock(mu_);
   std::vector<JobInfo> infos;
-  infos.reserve(ids.size());
-  for (const auto id : ids) {
-    if (auto info = status(id)) infos.push_back(std::move(*info));
-  }
+  infos.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) infos.push_back(info_locked(*job));
   return infos;
 }
 
-bool JobManager::cancel(std::uint64_t id) {
+std::optional<JobState> JobManager::cancel(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
-  Job* job = find_locked(id);
-  if (job == nullptr) return false;
-  if (job->state == JobState::kQueued) {
-    job->state = JobState::kCancelled;
-    --queued_;
-    count_terminal(JobState::kCancelled);
-    if (obs::Registry::instance().enabled()) {
-      ServeMetrics::get().queue_depth.set(static_cast<long long>(queued_));
-    }
-    stream_cv_.notify_all();
-  } else if (job->state == JobState::kRunning) {
-    job->cancel.request_stop();
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  Job& job = *it->second;
+  if (job.state == JobState::kQueued) {
+    queue_.erase(queue_key(job));
+    set_queue_depth(queue_.size());
+    finish_locked(job, JobState::kCancelled);
+  } else if (job.state == JobState::kRunning) {
+    job.cancel.request_stop();
   }
-  return true;
+  return job.state;
 }
 
-JobManager::StreamChunk JobManager::stream_wait(std::uint64_t id,
+void JobManager::finish_locked(Job& job, JobState state) {
+  job.state = state;
+  count_terminal(state);
+  finished_.push_back(job.id);
+  while (finished_.size() > kMaxFinishedJobs) {
+    jobs_.erase(finished_.front());  // streamers keep their own handle
+    finished_.pop_front();
+  }
+  stream_cv_.notify_all();
+}
+
+JobManager::StreamChunk JobManager::stream_wait(const JobHandle& job,
                                                 std::size_t offset) const {
   std::unique_lock<std::mutex> lock(mu_);
-  const Job* job = find_locked(id);
-  if (job == nullptr) {
-    throw std::out_of_range("unknown job " + std::to_string(id));
-  }
   stream_cv_.wait(lock, [&] {
     return stop_ || is_terminal(job->state) || job->jsonl.size() > offset;
   });
@@ -265,7 +272,7 @@ JobManager::StreamChunk JobManager::stream_wait(std::uint64_t id,
 
 std::size_t JobManager::queued() const {
   std::unique_lock<std::mutex> lock(mu_);
-  return queued_;
+  return queue_.size();
 }
 
 void JobManager::shutdown() {
@@ -274,17 +281,14 @@ void JobManager::shutdown() {
     if (!stop_) {
       stop_ = true;
       for (auto& [id, job] : jobs_) {
-        if (job->state == JobState::kQueued) {
-          job->state = JobState::kCancelled;
-          --queued_;
-          count_terminal(JobState::kCancelled);
-        } else if (job->state == JobState::kRunning) {
-          job->cancel.request_stop();
-        }
+        if (job->state == JobState::kRunning) job->cancel.request_stop();
       }
-      if (obs::Registry::instance().enabled()) {
-        ServeMetrics::get().queue_depth.set(static_cast<long long>(queued_));
+      // Cancelling retires the queued jobs (which may evict finished
+      // ones from jobs_), so this runs after the jobs_ walk.
+      for (auto& [key, job] : std::exchange(queue_, {})) {
+        finish_locked(*job, JobState::kCancelled);
       }
+      set_queue_depth(0);
     }
     queue_cv_.notify_all();
     stream_cv_.notify_all();
@@ -294,29 +298,17 @@ void JobManager::shutdown() {
   }
 }
 
-JobManager::Job* JobManager::pick_locked() {
-  Job* best = nullptr;
-  for (auto& [id, job] : jobs_) {
-    if (job->state != JobState::kQueued) continue;
-    if (best == nullptr || job->request.priority > best->request.priority) {
-      best = job.get();  // ids iterate ascending: first of a priority wins
-    }
-  }
-  return best;
-}
-
 void JobManager::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    queue_cv_.wait(lock, [&] { return stop_ || pick_locked() != nullptr; });
+    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;
-    Job* job = pick_locked();
-    if (job == nullptr) continue;
+    const std::shared_ptr<Job> job = std::move(queue_.begin()->second);
+    queue_.erase(queue_.begin());
     job->state = JobState::kRunning;
     job->started = Clock::now();
-    --queued_;
+    set_queue_depth(queue_.size());
     if (obs::Registry::instance().enabled()) {
-      ServeMetrics::get().queue_depth.set(static_cast<long long>(queued_));
       job->run_start_us = obs::now_micros();
       if (job->submitted_us != 0) {
         // The queued phase of the job's lifecycle, now that it ended.
@@ -326,9 +318,8 @@ void JobManager::worker_loop() {
       }
     }
     lock.unlock();
-    execute(*job);
+    execute(*job);  // `job` keeps it alive should it be evicted meanwhile
     lock.lock();
-    stream_cv_.notify_all();
   }
 }
 
@@ -336,17 +327,15 @@ void JobManager::execute(Job& job) {
   const auto finish = [&](JobState state, std::string error,
                           long long runs) {
     std::unique_lock<std::mutex> lock(mu_);
-    job.state = state;
     job.error = std::move(error);
     job.runs_executed = runs;
     job.wall_seconds = seconds_since(job.started);
-    count_terminal(state);
     if (job.run_start_us != 0 && obs::Registry::instance().enabled()) {
       obs::Tracer::instance().complete(
           "job " + std::to_string(job.id) + " run", "serve",
           job.run_start_us, obs::now_micros() - job.run_start_us);
     }
-    stream_cv_.notify_all();
+    finish_locked(job, state);
   };
   try {
     if (options_.before_job) options_.before_job(job.id);

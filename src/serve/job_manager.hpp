@@ -28,11 +28,18 @@
 // without simulating, and the job lands in kCancelled with its JSONL a
 // clean prefix (cells 0..k in index order) of the full stream.  No
 // cell completion is ever reported after the cancel took effect.
+//
+// History is bounded: the manager retains every queued and running job
+// plus the kMaxFinishedJobs most recently finished ones; older terminal
+// jobs are evicted and their ids become unknown.  Jobs are shared-owned,
+// so a worker executing a job or a streamer holding a JobHandle keeps
+// reading it safely after its eviction.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,6 +48,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "scenario/spec.hpp"
@@ -49,6 +57,13 @@
 namespace adacheck::serve {
 
 enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };
+
+/// Terminal jobs a JobManager retains; when one more job finishes, the
+/// job that finished earliest is evicted (its id then answers "unknown
+/// job").  Queued and running jobs are never evicted, so the manager
+/// holds at most kMaxFinishedJobs + max_queued + workers jobs however
+/// long the daemon runs.
+inline constexpr std::size_t kMaxFinishedJobs = 256;
 
 /// "queued" | "running" | "done" | "failed" | "cancelled".
 const char* to_string(JobState state);
@@ -116,8 +131,14 @@ struct JobManagerOptions {
 };
 
 class JobManager {
+  struct Job;
+
  public:
   using Options = JobManagerOptions;
+  /// A counted reference to one job.  It keeps the job — and its JSONL
+  /// stream — alive after eviction, so a streamer that resolved an id
+  /// once can always read to the end of the stream.
+  using JobHandle = std::shared_ptr<const Job>;
 
   explicit JobManager(Options options = {});
   /// Cancels everything still pending and joins the workers.
@@ -138,17 +159,21 @@ class JobManager {
   /// queue slot.
   std::uint64_t record_invalid(std::string source, std::string error);
 
-  /// Snapshot of one job; nullopt for unknown ids.
+  /// Snapshot of one job; nullopt for unknown (or evicted) ids.
   std::optional<JobInfo> status(std::uint64_t id) const;
 
-  /// Snapshots of every job, in id (= submission) order.
+  /// Snapshots of every retained job, in id (= submission) order.
   std::vector<JobInfo> list() const;
 
   /// Requests cancellation: a queued job is marked kCancelled on the
   /// spot, a running job's CancellationToken is flipped (the job lands
-  /// in kCancelled when its workers drain).  Returns false for unknown
-  /// ids; terminal jobs are left untouched (returns true).
-  bool cancel(std::uint64_t id);
+  /// in kCancelled when its workers drain).  Returns the job's state
+  /// right after the request, or nullopt for unknown ids; terminal jobs
+  /// are left untouched.
+  std::optional<JobState> cancel(std::uint64_t id);
+
+  /// The job behind `id`, or null for unknown (or evicted) ids.
+  JobHandle find(std::uint64_t id) const;
 
   /// One live slice of a job's JSONL stream: bytes past `offset`
   /// (empty when the job is already terminal and fully read).
@@ -160,10 +185,11 @@ class JobManager {
     bool terminal = false;
   };
 
-  /// Blocks until the job has stream bytes past `offset`, reaches a
-  /// terminal state, or the manager shuts down; then returns the
-  /// available slice.  Throws std::out_of_range for unknown ids.
-  StreamChunk stream_wait(std::uint64_t id, std::size_t offset) const;
+  /// Blocks until the job (a non-null handle from find()) has stream
+  /// bytes past `offset`, reaches a terminal state, or the manager
+  /// shuts down; then returns the available slice.  Works whether or
+  /// not the job is still retained.
+  StreamChunk stream_wait(const JobHandle& job, std::size_t offset) const;
 
   /// Cancels every queued and running job, wakes all waiters, and
   /// joins the workers.  Idempotent.
@@ -173,13 +199,18 @@ class JobManager {
   std::size_t queued() const;
 
  private:
-  struct Job;
   class SweepAdapter;
+  /// Queue order: highest priority first (the key holds -priority),
+  /// FIFO by id within a level.
+  using QueueKey = std::pair<long long, std::uint64_t>;
 
+  static QueueKey queue_key(const Job& job);
   void worker_loop();
-  Job* find_locked(std::uint64_t id) const;
-  /// Highest priority, lowest id among queued jobs; nullptr when none.
-  Job* pick_locked();
+  JobInfo info_locked(const Job& job) const;
+  /// Parks a job in a terminal state: counts it, retires it into the
+  /// finished history (evicting the earliest-finished job past
+  /// kMaxFinishedJobs), and wakes stream waiters.
+  void finish_locked(Job& job, JobState state);
   void execute(Job& job);
   /// Appends freshly emitted stream bytes / progress to the job and
   /// wakes stream waiters.  Called from observer callbacks (already
@@ -191,9 +222,12 @@ class JobManager {
   mutable std::mutex mu_;
   mutable std::condition_variable queue_cv_;   ///< workers wait here
   mutable std::condition_variable stream_cv_;  ///< stream_wait blocks here
-  std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
+  /// Every retained job: all queued and running ones plus the finished
+  /// ones still listed in finished_.
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+  std::map<QueueKey, std::shared_ptr<Job>> queue_;  ///< the queued jobs
+  std::deque<std::uint64_t> finished_;  ///< retained terminal ids, oldest first
   std::uint64_t next_id_ = 1;
-  std::size_t queued_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

@@ -25,6 +25,10 @@
 // [, "queue_full": true]}; whenever a document was involved the
 // message names its source — the submitted path or "job <id>" — so
 // multi-job sessions stay debuggable.
+//
+// A request line longer than kMaxRequestLineBytes (terminator
+// excluded) is answered with an error naming the limit, and the server
+// then closes the connection.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,8 @@ namespace adacheck::serve {
 
 inline constexpr const char* kProtocolSchema = "adacheck-serve-v1";
 inline constexpr const char* kEotSchema = "adacheck-serve-eot-v1";
+/// Longest request line a server reads (1 MiB).
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct Request {
   enum class Type {

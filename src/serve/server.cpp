@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -49,6 +50,7 @@ bool send_all(int fd, const std::string& bytes) {
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }
@@ -60,27 +62,35 @@ bool send_all(int fd, const std::string& bytes) {
 /// Buffered line reader + writer for one accepted socket.
 class Server::Connection {
  public:
+  enum class Read { kLine, kClosed, kTooLong };
+
   explicit Connection(int fd) : fd_(fd) {}
 
   int fd() const noexcept { return fd_; }
 
-  /// Next '\n'-terminated line (terminator stripped); false on EOF or
-  /// error.  A final unterminated fragment at EOF is delivered as a
-  /// line so `printf '...' | nc`-style clients still work.
-  bool read_line(std::string& line) {
+  /// Next '\n'-terminated line (terminator stripped); kClosed on EOF or
+  /// error, kTooLong once the line outgrows kMaxRequestLineBytes.  A
+  /// final unterminated fragment at EOF is delivered as a line so
+  /// `printf '...' | nc`-style clients still work.
+  Read read_line(std::string& line) {
+    std::size_t scanned = 0;
     for (;;) {
-      const auto newline = buffer_.find('\n');
+      const auto newline = buffer_.find('\n', scanned);
       if (newline != std::string::npos) {
-        line = buffer_.substr(0, newline);
+        if (newline > kMaxRequestLineBytes) return Read::kTooLong;
+        line.assign(buffer_, 0, newline);
         buffer_.erase(0, newline + 1);
-        return true;
+        return Read::kLine;
       }
+      scanned = buffer_.size();
+      if (scanned > kMaxRequestLineBytes) return Read::kTooLong;
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
-        if (buffer_.empty()) return false;
+        if (buffer_.empty()) return Read::kClosed;
         line = std::exchange(buffer_, std::string());
-        return true;
+        return Read::kLine;
       }
       buffer_.append(chunk, static_cast<std::size_t>(n));
     }
@@ -135,10 +145,15 @@ Server::Server(ServerOptions options)
 
 Server::~Server() {
   request_shutdown();
-  for (auto& thread : connection_threads_) {
-    if (thread.joinable()) thread.join();
-  }
+  join_all(handlers_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
+}
+
+void Server::join_all(std::list<Handler>& handlers) {
+  for (auto& handler : handlers) {
+    if (handler.thread.joinable()) handler.thread.join();
+  }
+  handlers.clear();
 }
 
 std::string Server::endpoint() const {
@@ -168,21 +183,36 @@ void Server::run() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or hard error): stop accepting
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      break;
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    std::list<Handler> finished;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        break;
+      }
+      for (auto it = handlers_.begin(); it != handlers_.end();) {
+        const auto handler = it++;
+        if (handler->fd < 0) {
+          finished.splice(finished.end(), handlers_, handler);
+        }
+      }
+      const auto handler = handlers_.insert(handlers_.end(), Handler{fd, {}});
+      handler->thread =
+          std::thread([this, handler] { handle_connection(handler); });
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    join_all(finished);  // handlers that closed their connection
   }
   // A shutdown request (or listener failure) ends the accept loop;
   // everything else winds down here so run() returns fully stopped.
   request_shutdown();
-  for (auto& thread : connection_threads_) {
-    if (thread.joinable()) thread.join();
+  std::list<Handler> handlers;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    handlers.swap(handlers_);  // list nodes (and handler iterators) survive
   }
-  connection_threads_.clear();
+  join_all(handlers);
 }
 
 void Server::request_shutdown() {
@@ -191,19 +221,39 @@ void Server::request_shutdown() {
     if (stopping_) return;
     stopping_ = true;
     // Unblock connection reads; fds are closed by their handlers.
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& handler : handlers_) {
+      if (handler.fd >= 0) ::shutdown(handler.fd, SHUT_RDWR);
+    }
   }
   jobs_.shutdown();  // cancels all jobs, wakes every stream_wait
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);  // unblock accept
 }
 
-void Server::handle_connection(int fd) {
+void Server::handle_connection(std::list<Handler>::iterator handler) {
+  const int fd = handler->fd;  // only this thread ever writes it
   Connection conn(fd);
   std::string line;
-  while (conn.read_line(line)) {
+  for (;;) {
+    const auto result = conn.read_line(line);
+    if (result == Connection::Read::kClosed) break;
+    if (result == Connection::Read::kTooLong) {
+      const std::string response = error_response(
+          "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+          " bytes; closing the connection");
+      log('<', response);
+      conn.send(response);
+      ::shutdown(fd, SHUT_WR);  // the error is the last thing sent
+      break;
+    }
     if (line.empty()) continue;
     log('>', line);
     if (!handle_line(conn, line)) break;
+  }
+  {
+    // Out of request_shutdown()'s reach before the fd number can be
+    // reused by another accept.
+    std::unique_lock<std::mutex> lock(mu_);
+    handler->fd = -1;
   }
   ::close(fd);
 }
@@ -240,14 +290,12 @@ bool Server::handle_line(Connection& conn, const std::string& line) {
       return conn.send(response);
     }
     case Request::Type::kCancel: {
-      std::string response;
-      if (!jobs_.cancel(request.job)) {
-        response = error_response(
-            "unknown job " + std::to_string(request.job), request.job);
-      } else {
-        response = cancel_response(request.job,
-                                   jobs_.status(request.job)->state);
-      }
+      const auto state = jobs_.cancel(request.job);
+      const std::string response =
+          state ? cancel_response(request.job, *state)
+                : error_response(
+                      "unknown job " + std::to_string(request.job),
+                      request.job);
       log('<', response);
       return conn.send(response);
     }
@@ -307,7 +355,10 @@ void Server::handle_submit(Connection& conn, const Request& request) {
 }
 
 void Server::handle_stream(Connection& conn, const Request& request) {
-  if (!jobs_.status(request.job)) {
+  // The handle keeps the job readable to EOT even if it is evicted from
+  // the finished-job history mid-stream.
+  const auto job = jobs_.find(request.job);
+  if (job == nullptr) {
     const std::string response = error_response(
         "unknown job " + std::to_string(request.job), request.job);
     log('<', response);
@@ -318,21 +369,13 @@ void Server::handle_stream(Connection& conn, const Request& request) {
   log('<', opening);
   if (!conn.send(opening)) return;
 
+  // One send per wakeup; the final slice carries the EOT line with it.
   std::size_t offset = request.from;
   std::size_t streamed = 0;
   for (;;) {
-    JobManager::StreamChunk chunk;
-    try {
-      chunk = jobs_.stream_wait(request.job, offset);
-    } catch (const std::out_of_range& e) {
-      conn.send(error_response(e.what(), request.job));
-      return;
-    }
-    if (!chunk.bytes.empty()) {
-      if (!conn.send(chunk.bytes)) return;  // client went away
-      offset += chunk.bytes.size();
-      streamed += chunk.bytes.size();
-    }
+    auto chunk = jobs_.stream_wait(job, offset);
+    offset += chunk.bytes.size();
+    streamed += chunk.bytes.size();
     if (chunk.terminal) {
       if (options_.transcript != nullptr && streamed > 0) {
         log('<', "[streamed " + std::to_string(streamed) +
@@ -342,9 +385,11 @@ void Server::handle_stream(Connection& conn, const Request& request) {
       const std::string eot =
           stream_eot(request.job, chunk.state, offset);
       log('<', eot);
-      conn.send(eot);
+      chunk.bytes += eot;
+      conn.send(chunk.bytes);
       return;
     }
+    if (!conn.send(chunk.bytes)) return;  // client went away
   }
 }
 

@@ -5,7 +5,12 @@
 // One thread accepts connections; each connection gets its own handler
 // thread reading newline-delimited requests and writing responses, so
 // a client blocked on `stream` (live per-cell JSONL) never stalls
-// submits from other clients.  A `shutdown` request — or
+// submits from other clients.  The accept loop joins handlers whose
+// connection has closed, so a daemon serving one connection per
+// command holds threads only for its live connections.  Every socket
+// runs with TCP_NODELAY: responses are complete lines written in one
+// send, and Nagle would otherwise hold a stream's cell bytes behind the
+// client's delayed ACK of the opening line.  A `shutdown` request — or
 // request_shutdown() from a signal handler — cancels every queued and
 // running job, unblocks all streams, closes every connection, and
 // returns run() to the caller.
@@ -17,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -70,8 +76,16 @@ class Server {
 
  private:
   class Connection;
+  /// One accepted connection's handler thread; `fd` turns -1 (under
+  /// mu_) right before the handler closes the socket.
+  struct Handler {
+    int fd = -1;
+    std::thread thread;
+  };
 
-  void handle_connection(int fd);
+  void handle_connection(std::list<Handler>::iterator handler);
+  /// Joins the given handlers (outside mu_).
+  static void join_all(std::list<Handler>& handlers);
   /// Dispatches one request line, writing the response(s) to the
   /// connection.  Returns false when the connection must close (a
   /// shutdown was requested).
@@ -84,10 +98,9 @@ class Server {
   JobManager jobs_;
   int listen_fd_ = -1;
   int port_ = 0;
-  std::mutex mu_;  ///< guards connections_, transcript writes, stopping_
+  std::mutex mu_;  ///< guards handlers_, transcript writes, stopping_
   bool stopping_ = false;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Handler> handlers_;
 };
 
 }  // namespace adacheck::serve

@@ -4,8 +4,9 @@
 // byte-identical to `adacheck run --jsonl` for the same document at
 // any thread count, scheduling is highest-priority-first with FIFO
 // within a level, the queue applies backpressure instead of buffering
-// without bound, and cancellation lands promptly leaving a clean
-// stream prefix.
+// without bound, cancellation lands promptly leaving a clean stream
+// prefix, and the job history stays bounded without cutting off a
+// streamer.
 #include "serve/client.hpp"
 #include "serve/job_manager.hpp"
 #include "serve/protocol.hpp"
@@ -13,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -63,6 +66,20 @@ const char* kSlowScenario = R"({
   }]
 })";
 
+// One cell of one run: a job whose cost is all serve overhead.
+const char* kTinyScenario = R"({
+  "schema": "adacheck-scenario-v1",
+  "name": "tiny",
+  "config": {"runs": 1, "seed": 3},
+  "experiments": [{
+    "id": "tiny",
+    "costs": {"store": 2, "compare": 20, "rollback": 0},
+    "fault_tolerance": 5,
+    "schemes": ["Poisson"],
+    "rows": [{"utilization": 0.6, "lambda": 1.0e-3}]
+  }]
+})";
+
 scenario::ScenarioSpec mini_spec() {
   return scenario::parse_scenario_text(kMiniScenario);
 }
@@ -80,14 +97,39 @@ std::string batch_jsonl(const scenario::ScenarioSpec& spec) {
 }
 
 /// Drains a job's stream through the public wait API until terminal.
-std::string stream_all(const JobManager& manager, std::uint64_t id) {
+std::string stream_all(const JobManager& manager,
+                       const JobManager::JobHandle& job) {
   std::string bytes;
   for (;;) {
-    const auto chunk = manager.stream_wait(id, bytes.size());
+    const auto chunk = manager.stream_wait(job, bytes.size());
     bytes += chunk.bytes;
     if (chunk.terminal) return bytes;
   }
 }
+
+/// Blocks every job for which `gated` is true in before_job until
+/// open() is called.
+class Gate {
+ public:
+  std::function<void(std::uint64_t)> hook(
+      std::function<bool(std::uint64_t)> gated) {
+    return [this, gated](std::uint64_t id) {
+      if (!gated(id)) return;
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return open_; });
+    };
+  }
+  void open() {
+    std::unique_lock<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 void wait_for_state(const JobManager& manager, std::uint64_t id,
                     JobState state) {
@@ -190,7 +232,7 @@ TEST(ServeJobManager, StreamIsByteIdenticalToBatchRunAtAnyThreads) {
     request.scenario = spec;
     request.threads = threads;
     const auto id = manager.submit(request);
-    EXPECT_EQ(stream_all(manager, id), reference)
+    EXPECT_EQ(stream_all(manager, manager.find(id)), reference)
         << "threads=" << threads;
     const auto info = manager.status(id);
     ASSERT_TRUE(info.has_value());
@@ -301,15 +343,15 @@ TEST(ServeJobManager, CancelQueuedJobNeverRuns) {
   wait_for_state(manager, 1, JobState::kRunning);
   ASSERT_EQ(manager.submit(request), 2u);
 
-  EXPECT_TRUE(manager.cancel(2));
-  EXPECT_FALSE(manager.cancel(99));
+  EXPECT_EQ(manager.cancel(2), JobState::kCancelled);
+  EXPECT_FALSE(manager.cancel(99).has_value());
   const auto info = manager.status(2);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->state, JobState::kCancelled);
   EXPECT_EQ(manager.queued(), 0u);
   // A cancelled queued job streams as an immediately terminal empty
   // stream.
-  const auto chunk = manager.stream_wait(2, 0);
+  const auto chunk = manager.stream_wait(manager.find(2), 0);
   EXPECT_TRUE(chunk.terminal);
   EXPECT_TRUE(chunk.bytes.empty());
 
@@ -332,10 +374,11 @@ TEST(ServeJobManager, CancelRunningJobLeavesACleanPrefix) {
   const auto id = manager.submit(request);
 
   // Wait for the first completed cell, then cancel mid-sweep.
-  const auto first = manager.stream_wait(id, 0);
+  const auto job = manager.find(id);
+  const auto first = manager.stream_wait(job, 0);
   ASSERT_FALSE(first.bytes.empty());
-  EXPECT_TRUE(manager.cancel(id));
-  const std::string bytes = first.bytes + stream_all(manager, id).substr(
+  EXPECT_TRUE(manager.cancel(id).has_value());
+  const std::string bytes = first.bytes + stream_all(manager, job).substr(
                                               first.bytes.size());
 
   const auto info = manager.status(id);
@@ -365,9 +408,9 @@ TEST(ServeJobManager, InvalidDocumentsFailBeforeQueueing) {
   EXPECT_EQ(info->error, "no experiments");
   EXPECT_EQ(manager.queued(), 0u);
   // Terminal immediately: a streamer gets EOT, list() includes it.
-  EXPECT_TRUE(manager.stream_wait(id, 0).terminal);
+  EXPECT_TRUE(manager.stream_wait(manager.find(id), 0).terminal);
   EXPECT_EQ(manager.list().size(), 1u);
-  EXPECT_THROW(manager.stream_wait(id + 1, 0), std::out_of_range);
+  EXPECT_EQ(manager.find(id + 1), nullptr);
 }
 
 TEST(ServeJobManager, ShutdownCancelsEverythingAndUnblocksStreams) {
@@ -402,8 +445,89 @@ TEST(ServeJobManager, ShutdownCancelsEverythingAndUnblocksStreams) {
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_TRUE(is_terminal(jobs[0].state));
   EXPECT_EQ(jobs[1].state, JobState::kCancelled);  // was still queued
-  EXPECT_TRUE(manager->stream_wait(2, 0).terminal);
+  EXPECT_TRUE(manager->stream_wait(manager->find(2), 0).terminal);
   EXPECT_THROW(manager->submit(request), std::runtime_error);
+}
+
+TEST(ServeJobManager, HistoryKeepsOnlyTheNewestFinishedJobs) {
+  // One worker, FIFO: the tiny jobs finish in id order, then the gate
+  // job blocks the worker so the job behind it stays queued.
+  constexpr std::size_t kTiny = kMaxFinishedJobs + 8;
+  const std::uint64_t gate_id = kTiny + 1;
+  const std::uint64_t queued_id = kTiny + 2;
+  Gate gate;
+  JobManagerOptions options;
+  options.workers = 1;
+  options.max_queued = kTiny + 2;
+  options.before_job =
+      gate.hook([&](std::uint64_t id) { return id == gate_id; });
+  JobManager manager(options);
+
+  JobRequest request;
+  request.scenario = scenario::parse_scenario_text(kTinyScenario);
+  for (std::size_t i = 0; i < kTiny + 2; ++i) manager.submit(request);
+  wait_for_state(manager, gate_id, JobState::kRunning);
+
+  // The 8 oldest finished jobs are gone from every verb...
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    EXPECT_FALSE(manager.status(id).has_value()) << id;
+    EXPECT_FALSE(manager.cancel(id).has_value()) << id;
+    EXPECT_EQ(manager.find(id), nullptr) << id;
+  }
+  // ...and list() holds exactly the retained ones: the newest
+  // kMaxFinishedJobs finished jobs plus the running and queued ones.
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t id = 9; id <= queued_id; ++id) expected.push_back(id);
+  std::vector<std::uint64_t> listed;
+  for (const auto& info : manager.list()) listed.push_back(info.id);
+  EXPECT_EQ(listed, expected);
+  EXPECT_EQ(manager.status(9).value().state, JobState::kDone);
+  EXPECT_EQ(manager.status(queued_id).value().state, JobState::kQueued);
+
+  // Finishing the last two evicts two more; neither of them goes.
+  gate.open();
+  wait_for_state(manager, queued_id, JobState::kDone);
+  listed.clear();
+  for (const auto& info : manager.list()) listed.push_back(info.id);
+  expected.erase(expected.begin(), expected.begin() + 2);
+  EXPECT_EQ(listed, expected);
+  EXPECT_EQ(listed.size(), kMaxFinishedJobs);
+}
+
+TEST(ServeJobManager, StreamerReadsToEotAfterItsJobIsEvicted) {
+  const auto spec = mini_spec();
+  const std::string reference = batch_jsonl(spec);
+  Gate gate;
+  JobManagerOptions options;
+  options.workers = 1;
+  options.before_job = gate.hook([](std::uint64_t id) { return id == 1; });
+  JobManager manager(options);
+
+  JobRequest request;
+  request.scenario = spec;
+  ASSERT_EQ(manager.submit(request), 1u);
+  wait_for_state(manager, 1, JobState::kRunning);
+  const auto job = manager.find(1);
+  ASSERT_NE(job, nullptr);
+
+  // A streamer blocks on the job while it runs, finishes, and is pushed
+  // out of the history by kMaxFinishedJobs newer finished jobs.
+  std::string streamed;
+  std::thread streamer([&] { streamed = stream_all(manager, job); });
+  gate.open();
+  wait_for_state(manager, 1, JobState::kDone);
+  for (std::size_t i = 0; i < kMaxFinishedJobs; ++i) {
+    manager.record_invalid("filler", "evicts job 1");
+  }
+  EXPECT_FALSE(manager.status(1).has_value());
+  streamer.join();
+  EXPECT_EQ(streamed, reference);
+
+  // The handle still reads the whole stream, ending terminal and done.
+  const auto chunk = manager.stream_wait(job, 0);
+  EXPECT_EQ(chunk.bytes, reference);
+  EXPECT_TRUE(chunk.terminal);
+  EXPECT_EQ(chunk.state, JobState::kDone);
 }
 
 // --- server (loopback socket round-trips) --------------------------------
@@ -602,6 +726,73 @@ TEST_F(ServeServerTest, StatsReportsLiveCountersMonotonically) {
   // Requests with unknown keys are rejected, not silently accepted.
   const auto extra = rpc(client, R"({"req": "stats", "verbose": true})");
   EXPECT_FALSE(extra.find("ok")->as_bool());
+}
+
+TEST_F(ServeServerTest, SmallJobsStreamWithoutTheDelayedAckStall) {
+  // Submit-to-EOT of a one-run job is serve overhead alone.  Nagle
+  // holding the cell bytes behind the client's delayed ACK of the
+  // opening line floors it at 40 ms; without the stall it is far less.
+  LineClient client("127.0.0.1", server_->port());
+  std::string submit =
+      R"({"req": "submit", "scenario": )" + std::string(kTinyScenario) + "}";
+  std::vector<double> millis;
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto submitted = rpc(client, submit);
+    ASSERT_TRUE(submitted.find("ok")->as_bool());
+    client.send_line(R"({"req": "stream", "job": )" +
+                     std::to_string(submitted.find("job")->as_int()) + "}");
+    for (;;) {
+      const auto line = client.recv_line();
+      ASSERT_TRUE(line.has_value());
+      if (line->find(kEotSchema) != std::string::npos) break;
+    }
+    millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::sort(millis.begin(), millis.end());
+  EXPECT_LT(millis[2], 20.0) << "median submit-to-EOT in ms";
+}
+
+TEST_F(ServeServerTest, EvictedJobsAreUnknownOverTheWire) {
+  auto& jobs = server_->jobs();
+  const auto first = jobs.record_invalid("old", "oldest finished job");
+  for (std::size_t i = 0; i < kMaxFinishedJobs; ++i) {
+    jobs.record_invalid("new", "newer finished job");
+  }
+  LineClient client("127.0.0.1", server_->port());
+  const std::string id = std::to_string(first);
+  for (const std::string req : {"status", "cancel", "stream"}) {
+    const auto reply =
+        rpc(client, R"({"req": ")" + req + R"(", "job": )" + id + "}");
+    ASSERT_FALSE(reply.find("ok")->as_bool()) << req;
+    EXPECT_EQ(reply.find("error")->as_string(), "unknown job " + id) << req;
+  }
+  const auto list = rpc(client, R"({"req": "list"})");
+  EXPECT_EQ(list.find("jobs")->as_array().size(), kMaxFinishedJobs);
+}
+
+TEST_F(ServeServerTest, OverlongRequestLineClosesOnlyThatConnection) {
+  LineClient client("127.0.0.1", server_->port());
+  // A line exactly at the cap is read (and rejected as bad JSON)...
+  const auto at_cap = rpc(client, std::string(kMaxRequestLineBytes, 'x'));
+  EXPECT_FALSE(at_cap.find("ok")->as_bool());
+  // ...one byte more is answered with the limit, then disconnected.
+  client.send_line(std::string(kMaxRequestLineBytes + 1, 'x'));
+  const auto reply = client.recv_line();
+  ASSERT_TRUE(reply.has_value());
+  const auto error = util::json::parse(*reply);
+  EXPECT_FALSE(error.find("ok")->as_bool());
+  EXPECT_NE(error.find("error")->as_string().find(
+                std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << *reply;
+  EXPECT_FALSE(client.recv_line().has_value());
+
+  // The daemon keeps serving everyone else.
+  LineClient other("127.0.0.1", server_->port());
+  EXPECT_TRUE(rpc(other, R"({"req": "list"})").find("ok")->as_bool());
 }
 
 TEST_F(ServeServerTest, MalformedLineIsAnErrorNotADisconnect) {

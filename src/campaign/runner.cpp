@@ -1,5 +1,8 @@
 #include "campaign/runner.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cctype>
 #include <filesystem>
@@ -9,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "harness/json_writer.hpp"
@@ -86,6 +90,7 @@ fs::path meta_path(const std::string& cache_dir, const std::string& fp) {
 /// A committed cache entry: the payload bytes plus meta provenance.
 struct CacheEntry {
   std::string bytes;
+  std::string result_hash;   ///< content_hash128 hex of `bytes`, verified
   long long total_runs = 0;  ///< runs the original execution performed
 };
 
@@ -115,9 +120,8 @@ std::optional<CacheEntry> cache_load(const std::string& cache_dir,
     }
     CacheEntry entry;
     entry.bytes = read_file(payload_file);
-    if (util::content_hash128(entry.bytes).hex() != hash->as_string()) {
-      return std::nullopt;
-    }
+    entry.result_hash = util::content_hash128(entry.bytes).hex();
+    if (entry.result_hash != hash->as_string()) return std::nullopt;
     if (const util::json::Value* runs = meta.find("total_runs")) {
       if (runs->is_number()) entry.total_runs = runs->as_int();
     }
@@ -128,21 +132,46 @@ std::optional<CacheEntry> cache_load(const std::string& cache_dir,
   }
 }
 
-/// Commits an entry: payload first, meta last (the commit marker).
+/// Suffix of the temp files cache_store renames into place; never
+/// ".jsonl" or ".meta.json", so no scan mistakes one for an entry.
+constexpr std::string_view kTempSuffix = ".tmp";
+
+/// Replaces `target` with `bytes` atomically: the bytes go to a temp
+/// file unique to this process and call in the same directory, which
+/// is then renamed over `target`.  Readers see the old file or the
+/// new one, never a partial write.
+void write_atomically(const fs::path& target, const std::string& bytes) {
+  static std::atomic<std::uint64_t> sequence{0};
+  fs::path temp = target;
+  temp += "." + std::to_string(::getpid()) + "-" +
+          std::to_string(sequence.fetch_add(1)) + std::string(kTempSuffix);
+  std::error_code ec;
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      fs::remove(temp, ec);
+      throw std::runtime_error(target.string() + ": cannot write");
+    }
+  }
+  fs::rename(temp, target, ec);
+  if (ec) {
+    std::error_code ignored;
+    fs::remove(temp, ignored);
+    throw std::runtime_error(target.string() + ": cannot commit (" +
+                             ec.message() + ")");
+  }
+}
+
+/// Commits an entry: payload first, meta last (the commit marker),
+/// each written to a temp file and renamed into place.
 void cache_store(const std::string& cache_dir, const CampaignCell& cell,
                  const std::string& bytes, long long total_runs,
                  const std::string& result_hash) {
-  const fs::path payload_file = payload_path(cache_dir, cell.fingerprint);
-  {
-    std::ofstream out(payload_file, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw std::runtime_error(payload_file.string() + ": cannot write");
-    }
-  }
-  std::ofstream out(meta_path(cache_dir, cell.fingerprint),
-                    std::ios::binary | std::ios::trunc);
-  harness::JsonWriter json(out);
+  write_atomically(payload_path(cache_dir, cell.fingerprint), bytes);
+  std::ostringstream meta;
+  harness::JsonWriter json(meta);
   json.begin_object();
   json.kv("schema", std::string("adacheck-cache-meta-v1"));
   json.kv("fingerprint", cell.fingerprint);
@@ -154,11 +183,8 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
   json.kv("total_runs", total_runs);
   json.kv("result_hash", result_hash);
   json.end_object();
-  out << "\n";
-  if (!out) {
-    throw std::runtime_error(
-        meta_path(cache_dir, cell.fingerprint).string() + ": cannot write");
-  }
+  meta << "\n";
+  write_atomically(meta_path(cache_dir, cell.fingerprint), meta.str());
 }
 
 /// The deterministic adacheck-campaign-cell-v1 header line for a cell.
@@ -179,10 +205,13 @@ std::string header_line(const CampaignCell& cell) {
   return out.str();
 }
 
-}  // namespace
-
-std::string cell_fingerprint_document(
-    const scenario::ScenarioSpec& resolved) {
+/// cell_fingerprint_document over specs already bound from `resolved`,
+/// so plan_campaign binds each cell once for both its fingerprint and
+/// its sweep_cells count.
+std::string fingerprint_document(
+    const scenario::ScenarioSpec& resolved,
+    const std::vector<harness::ExperimentSpec>& experiments,
+    const std::vector<harness::GraphExperimentSpec>& graphs) {
   // Emission order here is irrelevant by construction: the document is
   // re-serialized canonically (sorted keys) before hashing.  What
   // matters is the field set — everything result-affecting, nothing
@@ -209,7 +238,7 @@ std::string cell_fingerprint_document(
   }
   json.key("experiments");
   json.begin_array();
-  for (const auto& spec : scenario::bind_experiments(resolved)) {
+  for (const auto& spec : experiments) {
     json.begin_object();
     json.kv("id", spec.id);
     json.kv("environment", spec.environment);
@@ -246,7 +275,6 @@ std::string cell_fingerprint_document(
   json.end_array();
   // Graph experiments are result-affecting too: the whole DAG shape,
   // contention declarations, and both axes join the fingerprint.
-  const auto graphs = scenario::bind_graphs(resolved);
   if (!graphs.empty()) {
     json.key("graphs");
     json.begin_array();
@@ -323,11 +351,40 @@ std::string cell_fingerprint_document(
   return util::canonical_json(util::json::parse(out.str()));
 }
 
+/// Runs body(i) for every i in [0, n), at most `max_parallelism` at a
+/// time (0 = shared-pool width).  A single index, or a cap of 1, runs
+/// inline on the caller, so planning or replaying one cell never starts
+/// the pool.
+void for_each_cell(std::size_t n, int max_parallelism,
+                   const std::function<void(std::size_t)>& body) {
+  if (n <= 1 || max_parallelism == 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  util::parallel_for(
+      util::ThreadPool::shared(), 0, static_cast<int>(n), 1,
+      [&](int lo, int hi) {
+        for (int i = lo; i < hi; ++i) body(static_cast<std::size_t>(i));
+      },
+      max_parallelism);
+}
+
+}  // namespace
+
+std::string cell_fingerprint_document(
+    const scenario::ScenarioSpec& resolved) {
+  return fingerprint_document(resolved, scenario::bind_experiments(resolved),
+                              scenario::bind_graphs(resolved));
+}
+
 std::string cell_fingerprint(const scenario::ScenarioSpec& resolved) {
   return util::content_hash128(cell_fingerprint_document(resolved)).hex();
 }
 
 CampaignPlan plan_campaign(const CampaignSpec& spec) {
+  // Expansion is serial and cheap (one scenario load per entry, which
+  // validates everything binding needs); the per-cell bind and
+  // fingerprint hash run concurrently below.
   CampaignPlan plan;
   for (std::size_t ei = 0; ei < spec.matrix.size(); ++ei) {
     const MatrixEntry& entry = spec.matrix[ei];
@@ -365,16 +422,21 @@ CampaignPlan plan_campaign(const CampaignSpec& spec) {
         cell.seed = seed;
         cell.resolved = with_env;
         cell.resolved.config.seed = seed;
-        cell.sweep_cells =
-            harness::sweep_cell_refs(
-                scenario::bind_experiments(cell.resolved),
-                scenario::bind_graphs(cell.resolved))
-                .size();
-        cell.fingerprint = cell_fingerprint(cell.resolved);
         plan.cells.push_back(std::move(cell));
       }
     }
   }
+
+  for_each_cell(plan.cells.size(), 0, [&](std::size_t i) {
+    CampaignCell& cell = plan.cells[i];
+    const auto experiments = scenario::bind_experiments(cell.resolved);
+    const auto graphs = scenario::bind_graphs(cell.resolved);
+    cell.sweep_cells = harness::sweep_cell_refs(experiments, graphs).size();
+    cell.fingerprint =
+        util::content_hash128(
+            fingerprint_document(cell.resolved, experiments, graphs))
+            .hex();
+  });
   return plan;
 }
 
@@ -478,7 +540,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     CellOutcome& outcome = result.outcomes[i];
     outcome.status = CellStatus::kCached;
     outcome.runs_executed = 0;
-    outcome.result_hash = util::content_hash128(entry->bytes).hex();
+    outcome.result_hash = std::move(entry->result_hash);
     payload_out = std::move(entry->bytes);
     status_out = prefix_for(i) + " cached (" +
                  std::to_string(cell.sweep_cells) + " cells)\n";
@@ -588,16 +650,20 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  // Phase 1: replay cache hits up front and split out the misses.
-  // Duplicate fingerprints are deferred behind their first occurrence
-  // so two executions never race on the same cache files.
+  // Phase 1: verify and replay cache hits concurrently (each hit's
+  // read + hash is independent; finalize keeps emission in plan
+  // order), then split out the misses.  Duplicate fingerprints are
+  // deferred behind their first occurrence so two executions never
+  // race on the same cache files.
+  if (options.resume) {
+    for_each_cell(n, options.cell_parallelism, [&](std::size_t i) {
+      if (try_replay(i, payloads[i], status_lines[i])) finalize(i);
+    });
+  }
   std::vector<std::size_t> primaries, deferred;
   std::set<std::string> claimed;
   for (std::size_t i = 0; i < n; ++i) {
-    if (options.resume && try_replay(i, payloads[i], status_lines[i])) {
-      finalize(i);
-      continue;
-    }
+    if (result.outcomes[i].status == CellStatus::kCached) continue;
     if (claimed.insert(result.plan.cells[i].fingerprint).second) {
       primaries.push_back(i);
     } else {
@@ -608,21 +674,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // Phase 2: execute the unique-fingerprint misses concurrently.  Each
   // sweep is internally parallel on the same shared pool; claimants
   // help with sweep chunks while waiting, so the pool never deadlocks.
-  if (!primaries.empty()) {
-    LockedObserver locked(options.observer);
-    sim::ISweepObserver* observer =
-        options.observer != nullptr ? &locked : nullptr;
-    util::parallel_for(
-        util::ThreadPool::shared(), 0, static_cast<int>(primaries.size()), 1,
-        [&](int lo, int hi) {
-          for (int b = lo; b < hi; ++b) {
-            const std::size_t i = primaries[static_cast<std::size_t>(b)];
-            execute_cell(i, payloads[i], status_lines[i], observer);
-            finalize(i);
-          }
-        },
-        options.cell_parallelism);
-  }
+  LockedObserver locked(options.observer);
+  sim::ISweepObserver* observer =
+      options.observer != nullptr ? &locked : nullptr;
+  for_each_cell(primaries.size(), options.cell_parallelism,
+                [&](std::size_t b) {
+                  const std::size_t i = primaries[b];
+                  execute_cell(i, payloads[i], status_lines[i], observer);
+                  finalize(i);
+                });
 
   // Phase 3: deferred duplicates.  Their primary has committed by now,
   // so this is normally a replay; a miss (primary failed, or --fresh)
@@ -835,6 +895,21 @@ CacheGcResult cache_gc(const std::string& cache_dir,
     }
     result.bytes_freed += info.bytes;
     result.removed.push_back(std::move(info));
+  }
+  // Temp files a crashed cache_store left behind: never entries, so
+  // neither removed nor kept, but always garbage.
+  std::error_code ec;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(cache_dir, ec)) {
+    std::error_code fec;
+    if (!entry.is_regular_file(fec) || fec ||
+        !entry.path().filename().string().ends_with(kTempSuffix)) {
+      continue;
+    }
+    const std::uintmax_t size = entry.file_size(fec);
+    if (!fec) result.bytes_freed += size;
+    ++result.temp_files;
+    if (!options.dry_run) fs::remove(entry.path(), fec);
   }
   return result;
 }

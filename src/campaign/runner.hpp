@@ -9,30 +9,40 @@
 // result-affecting config knobs (runs, seed, validate; NOT threads),
 // the metric suite, and the code-version string.  Two cells with the
 // same fingerprint produce byte-identical adacheck-cell-v2 streams, so
-// the fingerprint doubles as the cache key.
+// the fingerprint doubles as the cache key.  Cells are stamped
+// concurrently on the shared pool, each bound once for both its
+// fingerprint and its sweep_cells count; a one-cell plan stays on the
+// caller and never starts the pool.
 //
 // The cache directory holds two files per fingerprint:
 //
 //   <fp>.jsonl       the cell's adacheck-cell-v2 lines, verbatim
 //   <fp>.meta.json   provenance + content_hash128 of the .jsonl bytes
 //
-// The meta file is written AFTER the payload and acts as the commit
-// marker: a payload without meta (crashed writer) is an ordinary
-// miss, and a meta whose result_hash does not match the payload bytes
-// (torn write, manual edit) is treated as a miss too — the cache can
-// only replay exactly what a fresh run would produce.
+// Each file is committed by writing a temp file unique to the writer
+// (a ".tmp" name, never mistaken for an entry) and renaming it into
+// place, payload first and meta last: the meta is the commit marker.
+// Readers therefore never see a partially written file, a payload
+// without meta (crashed writer) is an ordinary miss, and a meta whose
+// result_hash does not match the payload bytes (manual edit, or files
+// from two different commits) is treated as a miss too — the cache can
+// only replay exactly what a fresh run would produce.  Temp files a
+// crash leaves behind are swept by cache_gc.
 //
-// run_campaign replays cached cells and executes the misses
-// CONCURRENTLY — cells are independent, so cache-miss cells run as
-// parallel tasks on the shared pool (each internally parallel too;
-// CampaignOptions::cell_parallelism caps how many are in flight, and
-// fail_fast falls back to strictly sequential plan order so "skip
-// everything after the first failure" stays exact).  Two cells with
-// the same fingerprint never execute concurrently: the first
-// occurrence runs, later duplicates replay its committed result.
-// Report and JSONL emission stay in deterministic plan order
-// regardless — per-cell output is buffered and flushed as the
-// contiguous done-prefix grows — so the stream is byte-identical to a
+// run_campaign first verifies every cache hit CONCURRENTLY (read,
+// hash, compare against the meta; the verified hash is the outcome's
+// result_hash, so each hit is hashed exactly once), then executes the
+// misses concurrently too — cells are independent, so cache-miss cells
+// run as parallel tasks on the shared pool (each internally parallel
+// too).  CampaignOptions::cell_parallelism caps how many cells are in
+// flight in both phases, and fail_fast falls back to strictly
+// sequential plan order so "skip everything after the first failure"
+// stays exact.  Two cells with the same fingerprint never execute
+// concurrently: the first occurrence runs, later duplicates replay its
+// committed result.  Report and JSONL emission stay in deterministic
+// plan order regardless — per-cell output is buffered and flushed as
+// the contiguous done-prefix grows, so buffered bytes are bounded by
+// the out-of-order window — and the stream is byte-identical to a
 // sequential run.  The JSONL stream interleaves one
 // adacheck-campaign-cell-v1 header line per cell with that cell's
 // adacheck-cell-v2 body lines (cached or fresh — same bytes), and a
@@ -80,9 +90,9 @@ std::string cell_fingerprint_document(const scenario::ScenarioSpec& resolved);
 std::string cell_fingerprint(const scenario::ScenarioSpec& resolved);
 
 /// Expands the matrix, loading and resolving every referenced
-/// scenario.  Throws std::runtime_error (unreadable ref) or
-/// scenario::ScenarioError (invalid scenario) with the ref path in
-/// the message.
+/// scenario, then stamps the cells concurrently.  Throws
+/// std::runtime_error (unreadable ref) or scenario::ScenarioError
+/// (invalid scenario) with the ref path in the message.
 CampaignPlan plan_campaign(const CampaignSpec& spec);
 
 enum class CellStatus { kCached, kExecuted, kFailed, kSkipped };
@@ -109,9 +119,10 @@ struct CampaignOptions {
   /// Parallelism cap for each cell's sweep; -1 = keep each scenario's
   /// own config.threads.  Never part of the fingerprint.
   int threads = -1;
-  /// Cache-miss cells in flight at once: 0 = shared-pool width, 1 =
-  /// strictly sequential (also forced by fail_fast).  Results and the
-  /// emitted report/JSONL bytes are identical for every value.
+  /// Cells verified (cache hits) or executed (misses) at once: 0 =
+  /// shared-pool width, 1 = strictly sequential (also forced by
+  /// fail_fast).  Results and the emitted report/JSONL bytes are
+  /// identical for every value.
   int cell_parallelism = 0;
   /// Overrides the document's cache_dir when non-empty.
   std::string cache_dir = {};
@@ -197,11 +208,14 @@ struct CacheGcOptions {
 struct CacheGcResult {
   std::vector<CacheEntryInfo> removed;  ///< pruned (or would-be, dry run)
   std::size_t kept = 0;
-  std::uintmax_t bytes_freed = 0;
+  /// Leftover commit temp files pruned (or would-be); not entries.
+  std::size_t temp_files = 0;
+  std::uintmax_t bytes_freed = 0;  ///< entries and temp files together
 };
 
 /// Prunes a cache directory: corrupt entries always (the self-healing
-/// sweep), valid entries by age when older_than_seconds is set.
+/// sweep), valid entries by age when older_than_seconds is set, and
+/// temp files an interrupted commit left behind.
 CacheGcResult cache_gc(const std::string& cache_dir,
                        const CacheGcOptions& options = {});
 

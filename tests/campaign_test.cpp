@@ -12,8 +12,12 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
+#include "harness/stream_report.hpp"
+#include "obs/registry.hpp"
+#include "scenario/binder.hpp"
 #include "scenario/spec.hpp"
 #include "util/version.hpp"
 
@@ -245,6 +249,26 @@ TEST_F(CampaignTest, PlanExpandsSeedsByEnvironments) {
   }
 }
 
+TEST_F(CampaignTest, ConcurrentPlanStampsEachCellLikeTheSerialFunctions) {
+  auto spec = mini_campaign({1, 2, 3, 4});
+  spec.matrix[0].environments = {"poisson", "bursty-orbit", "weibull-aging"};
+  const auto plan = plan_campaign(spec);
+  ASSERT_EQ(plan.cells.size(), 12u);  // 3 environments x 4 seeds
+  for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+    const CampaignCell& cell = plan.cells[i];
+    EXPECT_EQ(cell.index, i);
+    EXPECT_EQ(cell.environment, spec.matrix[0].environments[i / 4]);
+    EXPECT_EQ(cell.seed, spec.matrix[0].seeds[i % 4]);
+    EXPECT_EQ(cell.fingerprint, cell_fingerprint(cell.resolved)) << i;
+    EXPECT_EQ(cell.sweep_cells,
+              harness::sweep_cell_refs(
+                  scenario::bind_experiments(cell.resolved),
+                  scenario::bind_graphs(cell.resolved))
+                  .size())
+        << i;
+  }
+}
+
 TEST_F(CampaignTest, PlanAppliesRunsAndBudgetOverrides) {
   auto spec = mini_campaign({1});
   spec.matrix[0].runs = 128;
@@ -302,6 +326,92 @@ TEST_F(CampaignTest, WarmRerunIsFullyCachedAndByteIdentical) {
   report.include_execution = false;
   EXPECT_EQ(campaign_json(spec, first, report),
             campaign_json(spec, second, report));
+}
+
+TEST_F(CampaignTest, CachedResultHashIsThePayloadsAndTheMetas) {
+  const auto spec = mini_campaign({1});
+  CampaignOptions options;
+  options.threads = 1;
+  run_campaign(spec, options);
+  const auto warm = run_campaign(spec, options);
+  ASSERT_EQ(warm.outcomes[0].status, CellStatus::kCached);
+
+  const fs::path stem =
+      fs::path(spec.cache_dir) / warm.plan.cells[0].fingerprint;
+  std::ifstream payload(stem.string() + ".jsonl", std::ios::binary);
+  std::ifstream meta(stem.string() + ".meta.json", std::ios::binary);
+  std::stringstream payload_bytes, meta_bytes;
+  payload_bytes << payload.rdbuf();
+  meta_bytes << meta.rdbuf();
+  EXPECT_EQ(warm.outcomes[0].result_hash,
+            util::content_hash128(payload_bytes.str()).hex());
+  const auto parsed = util::json::parse(meta_bytes.str());
+  EXPECT_EQ(warm.outcomes[0].result_hash,
+            parsed.find("result_hash")->as_string());
+}
+
+TEST_F(CampaignTest, WarmRerunExecutesOnlyTheCorruptedCell) {
+  const auto spec = mini_campaign({1, 2, 3, 4, 5, 6, 7, 8, 9});
+  CampaignReportOptions no_perf;
+  no_perf.include_execution = false;
+
+  CampaignOptions options;
+  std::ostringstream cold_jsonl;
+  options.jsonl = &cold_jsonl;
+  const auto cold = run_campaign(spec, options);
+  const std::string fp = cold.plan.cells[4].fingerprint;
+  write_file("cache/" + fp + ".jsonl", "{\"corrupt\":true}\n");
+
+  std::mutex mu;
+  std::vector<std::size_t> executed;
+  options.before_execute = [&](const CampaignCell& cell) {
+    std::lock_guard<std::mutex> lock(mu);
+    executed.push_back(cell.index);
+  };
+  std::ostringstream warm_jsonl;
+  options.jsonl = &warm_jsonl;
+  obs::Registry& registry = obs::Registry::instance();
+  const bool was_enabled = registry.enabled();
+  const long long hits = registry.counter("campaign.cache_hits").value();
+  const long long corrupt = registry.counter("campaign.cache_corrupt").value();
+  registry.set_enabled(true);
+  const auto warm = run_campaign(spec, options);
+  registry.set_enabled(was_enabled);
+
+  EXPECT_EQ(executed, std::vector<std::size_t>{4});
+  EXPECT_EQ(registry.counter("campaign.cache_hits").value() - hits, 8);
+  EXPECT_EQ(registry.counter("campaign.cache_corrupt").value() - corrupt, 1);
+  for (std::size_t i = 0; i < warm.outcomes.size(); ++i) {
+    EXPECT_EQ(warm.outcomes[i].status,
+              i == 4 ? CellStatus::kExecuted : CellStatus::kCached);
+    EXPECT_EQ(warm.outcomes[i].result_hash, cold.outcomes[i].result_hash);
+  }
+  EXPECT_EQ(warm_jsonl.str(), cold_jsonl.str());
+  EXPECT_EQ(campaign_json(spec, warm, no_perf),
+            campaign_json(spec, cold, no_perf));
+}
+
+TEST_F(CampaignTest, FreshRerunOverATornEntryCommitsAValidOne) {
+  const auto spec = mini_campaign({1});
+  CampaignOptions options;
+  options.threads = 1;
+  const auto first = run_campaign(spec, options);
+  const std::string fp = first.plan.cells[0].fingerprint;
+  // A torn write: half the payload under a meta that names the whole.
+  const fs::path payload = fs::path(spec.cache_dir) / (fp + ".jsonl");
+  fs::resize_file(payload, fs::file_size(payload) / 2);
+  ASSERT_FALSE(cache_probe(spec.cache_dir, fp));
+
+  options.resume = false;
+  const auto fresh = run_campaign(spec, options);
+  EXPECT_EQ(fresh.outcomes[0].status, CellStatus::kExecuted);
+  const auto entries = cache_ls(spec.cache_dir);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(entries[0].valid) << entries[0].defect;
+  for (const auto& file : fs::directory_iterator(spec.cache_dir)) {
+    const std::string name = file.path().filename().string();
+    EXPECT_TRUE(name == fp + ".jsonl" || name == fp + ".meta.json") << name;
+  }
 }
 
 TEST_F(CampaignTest, SeedFlipReexecutesExactlyThatCell) {
@@ -569,6 +679,36 @@ TEST_F(CampaignTest, CacheGcPrunesCorruptKeepsValid) {
   const auto rerun = run_campaign(spec, options);
   EXPECT_EQ(rerun.outcomes[0].status, CellStatus::kExecuted);
   EXPECT_EQ(rerun.outcomes[1].status, CellStatus::kCached);
+}
+
+TEST_F(CampaignTest, CacheGcRemovesLeftoverTempFilesButCountsNoEntry) {
+  const auto spec = mini_campaign({1});
+  const auto result = run_campaign(spec, {});
+  const std::string fp = result.plan.cells[0].fingerprint;
+  write_file("cache/" + fp + ".jsonl.123-0.tmp", "{\"partial\"");
+  write_file("cache/" + fp + ".meta.json.123-1.tmp", "{");
+  EXPECT_EQ(cache_ls(result.cache_dir).size(), 1u);  // temps are not entries
+
+  CacheGcOptions dry;
+  dry.dry_run = true;
+  const auto preview = cache_gc(result.cache_dir, dry);
+  EXPECT_TRUE(preview.removed.empty());
+  EXPECT_EQ(preview.kept, 1u);
+  EXPECT_EQ(preview.temp_files, 2u);
+  EXPECT_TRUE(fs::exists(dir_ / "cache" / (fp + ".jsonl.123-0.tmp")));
+
+  const auto gc = cache_gc(result.cache_dir, {});
+  EXPECT_TRUE(gc.removed.empty());
+  EXPECT_EQ(gc.kept, 1u);
+  EXPECT_EQ(gc.temp_files, 2u);
+  EXPECT_GT(gc.bytes_freed, 0u);
+  std::size_t files = 0;
+  for (const auto& file : fs::directory_iterator(result.cache_dir)) {
+    EXPECT_FALSE(file.path().filename().string().ends_with(".tmp"));
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
+  EXPECT_TRUE(cache_probe(result.cache_dir, fp));
 }
 
 TEST_F(CampaignTest, CacheGcAgePrunesOldValidEntries) {

@@ -458,8 +458,12 @@ int cmd_campaign_gc(const util::CliArgs& args) {
     }
   }
   std::cout << "gc " << cache_dir << ": " << verb << " "
-            << result.removed.size() << " entries (" << result.bytes_freed
-            << " bytes), kept " << result.kept << "\n";
+            << result.removed.size() << " entries";
+  if (result.temp_files > 0) {
+    std::cout << " and " << result.temp_files << " temp files";
+  }
+  std::cout << " (" << result.bytes_freed << " bytes), kept " << result.kept
+            << "\n";
   return 0;
 }
 
@@ -517,6 +521,10 @@ int cmd_campaign(const util::CliArgs& args) {
   const std::string cache_dir =
       options.cache_dir.empty() ? spec.cache_dir : options.cache_dir;
 
+  // Size the pool first: planning runs on it, --dry-run included.
+  if (threads >= 0) {
+    util::ThreadPool::set_shared_size(static_cast<int>(threads));
+  }
   if (args.get_bool("dry-run", false)) {
     const auto plan = campaign::plan_campaign(spec);
     status << "campaign \"" << spec.name << "\": " << plan.cells.size()
@@ -536,9 +544,6 @@ int cmd_campaign(const util::CliArgs& args) {
     return 0;
   }
 
-  if (threads >= 0) {
-    util::ThreadPool::set_shared_size(static_cast<int>(threads));
-  }
   const TelemetryOutputs telemetry = telemetry_setup(args);
 
   std::ofstream jsonl_file;

@@ -229,6 +229,68 @@ TEST(CampaignFingerprint, CarriesTheCodeVersion) {
   EXPECT_EQ(util::canonical_json(util::json::parse(doc)), doc);
 }
 
+// The exact fingerprint bytes of a small spec.  Every byte here is part
+// of the cache key: a change to number spelling (runs = 1e6 spells
+// "1e+06"), string escaping or member order silently invalidates every
+// existing campaign cache, so this text must only change together with
+// a deliberate cache-format bump.
+TEST(CampaignFingerprint, DocumentBytesArePinned) {
+  const auto spec = scenario::parse_scenario_text(R"({
+    "schema": "adacheck-scenario-v1",
+    "name": "pin",
+    "config": {"runs": 1000000, "seed": 9},
+    "budget": {"target_p_halfwidth": 0.02, "min_runs": 256,
+               "max_runs": 2048},
+    "experiments": [{
+      "id": "pin",
+      "costs": {"store": 2, "compare": 20, "rollback": 0},
+      "fault_tolerance": 5,
+      "schemes": ["Poisson", "A_D_S"],
+      "rows": [{"utilization": 0.76, "lambda": 1.4e-3}]
+    }],
+    "graphs": [{
+      "id": "pair",
+      "graph": {
+        "period": 9000,
+        "deadline": 8500,
+        "nodes": [
+          {"name": "a", "cycles": 1500, "fault_tolerance": 2,
+           "resources": ["bus"]},
+          {"name": "b", "cycles": 1000, "fault_tolerance": 1}
+        ],
+        "edges": [{"from": "a", "to": "b"}],
+        "resources": [{"name": "bus", "capacity": 1}]
+      },
+      "workers": 2,
+      "instances": 3,
+      "costs": {"store": 2, "compare": 20, "rollback": 0},
+      "schedulers": ["edf"],
+      "lambdas": [1.4e-3]
+    }]
+  })");
+  const std::string expected =
+      R"({"budget":{"max_runs":2048,"min_runs":256,"target_p_halfwidth":0.02},)"
+      R"("code_version":")" + util::version_string() + R"(",)"
+      R"("config":{"runs":1e+06,"seed":9,"validate":false},)"
+      R"("experiments":[{"costs":{"compare":20,"rollback":0,"store":2},)"
+      R"("deadline":10000,"environment":"poisson","fault_tolerance":5,)"
+      R"("id":"pin","rows":[{"lambda":0.0014,"utilization":0.76}],)"
+      R"("schemes":["Poisson","A_D_S"],"speed_ratio":2,"util_level":0,)"
+      R"("voltage_kappa":4}],)"
+      R"("graphs":[{"costs":{"compare":20,"rollback":0,"store":2},)"
+      R"("environment":"poisson","graph":{"deadline":8500,)"
+      R"("edges":[{"from":0,"to":1}],)"
+      R"("nodes":[{"cycles":1500,"fault_tolerance":2,"name":"a",)"
+      R"("policy":"A_D_S","resources":[0]},)"
+      R"({"cycles":1000,"fault_tolerance":1,"name":"b","policy":"A_D_S",)"
+      R"("resources":[]}],"period":9000,)"
+      R"("resources":[{"capacity":1,"name":"bus"}]},)"
+      R"("id":"pair","instances":3,"lambdas":[0.0014],"schedulers":["edf"],)"
+      R"("skip_late_jobs":true,"speed_ratio":2,"voltage_kappa":4,)"
+      R"("workers":2}]})";
+  EXPECT_EQ(cell_fingerprint_document(spec), expected);
+}
+
 // --- planning ------------------------------------------------------------
 
 TEST_F(CampaignTest, PlanExpandsSeedsByEnvironments) {

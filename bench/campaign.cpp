@@ -17,7 +17,7 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 #include "util/version.hpp"
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open output file: " << out_path << "\n";
       return 1;
     }
-    harness::JsonWriter json(out);
+    obs::JsonWriter json(out);
     json.begin_object();
-    json.kv("schema", std::string("adacheck-bench-campaign-v1"));
+    json.kv("schema", "adacheck-bench-campaign-v1");
     json.kv("version", util::version_string());
     json.kv("campaign", campaign_path);
     json.kv("cells", cold.plan.cells.size());

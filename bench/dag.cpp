@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "model/checkpoint.hpp"
 #include "sched/graph_executive.hpp"
 #include "sched/scheduler.hpp"
@@ -124,9 +124,9 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open output file: " << out_path << "\n";
       return 1;
     }
-    harness::JsonWriter json(out);
+    obs::JsonWriter json(out);
     json.begin_object();
-    json.kv("schema", std::string("adacheck-bench-dag-v1"));
+    json.kv("schema", "adacheck-bench-dag-v1");
     json.kv("version", util::version_string());
     json.kv("graph", graph.name);
     json.kv("nodes", graph.nodes.size());

@@ -15,7 +15,7 @@
 #include <string_view>
 #include <utility>
 
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenario/binder.hpp"
@@ -50,7 +50,7 @@ struct CampaignMetrics {
   }
 };
 
-void write_budget(harness::JsonWriter& json, const sim::RunBudget& budget) {
+void write_budget(obs::JsonWriter& json, const sim::RunBudget& budget) {
   json.begin_object();
   if (budget.target_p_halfwidth > 0.0) {
     json.kv("target_p_halfwidth", budget.target_p_halfwidth);
@@ -171,9 +171,9 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
                  const std::string& result_hash) {
   write_atomically(payload_path(cache_dir, cell.fingerprint), bytes);
   std::ostringstream meta;
-  harness::JsonWriter json(meta);
+  obs::JsonWriter json(meta);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-cache-meta-v1"));
+  json.kv("schema", "adacheck-cache-meta-v1");
   json.kv("fingerprint", cell.fingerprint);
   json.kv("code_version", util::version_string());
   json.kv("scenario", cell.resolved.name);
@@ -190,9 +190,9 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
 /// The deterministic adacheck-campaign-cell-v1 header line for a cell.
 std::string header_line(const CampaignCell& cell) {
   std::ostringstream out;
-  harness::JsonWriter json(out, harness::JsonStyle::kCompact);
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-campaign-cell-v1"));
+  json.kv("schema", "adacheck-campaign-cell-v1");
   json.kv("cell", cell.index);
   json.kv("scenario", cell.scenario_ref);
   json.kv("name", cell.resolved.name);
@@ -217,7 +217,7 @@ std::string fingerprint_document(
   // matters is the field set — everything result-affecting, nothing
   // else (no threads, no titles, no output paths).
   std::ostringstream out;
-  harness::JsonWriter json(out, harness::JsonStyle::kCompact);
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
   json.kv("code_version", util::version_string());
   json.key("config");
@@ -703,9 +703,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 void write_campaign_json(const CampaignSpec& spec,
                          const CampaignResult& result, std::ostream& os,
                          const CampaignReportOptions& options) {
-  harness::JsonWriter json(os);
+  obs::JsonWriter json(os);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-campaign-report-v1"));
+  json.kv("schema", "adacheck-campaign-report-v1");
   json.kv("name", spec.name);
   json.kv("title", spec.title);
   json.key("config");
@@ -750,7 +750,7 @@ void write_campaign_json(const CampaignSpec& spec,
       const CellOutcome& outcome = result.outcomes[i];
       json.begin_object();
       json.kv("cell", i);
-      json.kv("status", std::string(to_string(outcome.status)));
+      json.kv("status", to_string(outcome.status));
       json.kv("runs_executed", outcome.runs_executed);
       if (!outcome.result_hash.empty()) {
         json.kv("result_hash", outcome.result_hash);

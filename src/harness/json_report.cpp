@@ -3,13 +3,12 @@
 #include <cstdint>
 #include <sstream>
 
-#include "harness/json_writer.hpp"
 #include "model/fault_env.hpp"
 #include "util/version.hpp"
 
 namespace adacheck::harness {
 
-void write_cell_fields(JsonWriter& json, const std::string& scheme,
+void write_cell_fields(obs::JsonWriter& json, const std::string& scheme,
                        const sim::CellStats& stats,
                        const sim::MetricValues& metrics) {
   json.kv("scheme", scheme);
@@ -39,10 +38,10 @@ void write_cell_fields(JsonWriter& json, const std::string& scheme,
     json.key("metrics");
     json.begin_object();
     for (const auto& group : metrics.groups) {
-      json.key(group.recorder.c_str());
+      json.key(group.recorder);
       json.begin_object();
       for (const auto& entry : group.entries) {
-        json.kv(entry.key.c_str(), entry.value);
+        json.kv(entry.key, entry.value);
       }
       json.end_object();
     }
@@ -55,11 +54,11 @@ namespace {
 /// The fault environment of one experiment, fully expanded so report
 /// consumers need no registry lookup.  rate_multiplier is the
 /// documented effective-rate approximation: lambda_eff = lambda * it.
-void write_environment(JsonWriter& json, const std::string& name) {
+void write_environment(obs::JsonWriter& json, const std::string& name) {
   const auto& env = model::find_environment(name);
   json.begin_object();
   json.kv("name", name);
-  json.kv("arrival", std::string(model::to_string(env.arrival)));
+  json.kv("arrival", model::to_string(env.arrival));
   json.kv("shape", env.shape);
   json.kv("common_cause_fraction", env.common_cause_fraction);
   json.kv("rate_multiplier", env.rate_multiplier());
@@ -77,7 +76,7 @@ void write_environment(JsonWriter& json, const std::string& name) {
 
 /// A RunBudget, all four knobs expanded (zeros mean "unset", matching
 /// the in-memory defaults).
-void write_budget(JsonWriter& json, const sim::RunBudget& budget) {
+void write_budget(obs::JsonWriter& json, const sim::RunBudget& budget) {
   json.begin_object();
   json.kv("target_p_halfwidth", budget.target_p_halfwidth);
   json.kv("target_e_rel_halfwidth", budget.target_e_rel_halfwidth);
@@ -90,9 +89,9 @@ void write_budget(JsonWriter& json, const sim::RunBudget& budget) {
 
 void write_sweep_json(const SweepResult& sweep, std::ostream& os,
                       const JsonReportOptions& options) {
-  JsonWriter json(os);
+  obs::JsonWriter json(os);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-sweep-v6"));
+  json.kv("schema", "adacheck-sweep-v6");
 
   // Only result-affecting parameters here — thread count is an
   // execution detail and lives in "perf", keeping the no-perf document

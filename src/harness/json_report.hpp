@@ -14,6 +14,8 @@
 #include <string>
 
 #include "harness/sweep.hpp"
+#include "obs/json_writer.hpp"
+#include "sim/metrics.hpp"
 
 namespace adacheck::harness {
 
@@ -88,5 +90,14 @@ void write_sweep_json(const SweepResult& sweep, std::ostream& os,
 /// Convenience: the same document as a string.
 std::string sweep_json(const SweepResult& sweep,
                        const JsonReportOptions& options = {});
+
+/// The fields of one measured cell, shared verbatim by the sweep report's
+/// cell objects and the JSONL stream: the v3 fields in their original
+/// order, the v4 additions (runs_executed, p_halfwidth,
+/// e_rel_halfwidth), then — only when the cell carried extra
+/// recorders — a "metrics" object of one sub-object per recorder.
+void write_cell_fields(obs::JsonWriter& json, const std::string& scheme,
+                       const sim::CellStats& stats,
+                       const sim::MetricValues& metrics);
 
 }  // namespace adacheck::harness

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "harness/json_writer.hpp"
+#include "harness/json_report.hpp"
 
 namespace adacheck::harness {
 
@@ -68,12 +68,11 @@ void JsonlCellStream::on_cell_done(std::size_t cell,
   }
   std::ostringstream line;
   {
-    JsonWriter json(line, JsonStyle::kCompact);
+    obs::JsonWriter json(line, obs::JsonStyle::kCompact);
     const SweepCellRef& ref = refs_[cell];
     const bool graph = ref.kind == SweepCellRef::Kind::kGraph;
     json.begin_object();
-    json.kv("schema", std::string(graph ? "adacheck-graph-cell-v1"
-                                        : "adacheck-cell-v2"));
+    json.kv("schema", graph ? "adacheck-graph-cell-v1" : "adacheck-cell-v2");
     json.kv("cell", cell);
     json.kv("experiment", ref.experiment_id);
     json.kv("row", ref.row);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/json_writer.hpp"
 
 namespace adacheck::obs {
 
@@ -154,158 +154,44 @@ void Registry::reset() {
 
 // ---------------------------------------------------------------------------
 // adacheck-stats-v1 encoding
-//
-// obs sits below util/harness, so it carries its own minimal JSON
-// emitter: string keys are metric names (dot-separated identifiers)
-// but are escaped defensively anyway; doubles are emitted via
-// std::to_chars shortest round-trip like harness::JsonWriter.
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_number(std::string& out, long long value) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, ptr);
-}
-
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  std::string text(buf, ptr);
-  // Keep integral doubles recognisably floating ("12" -> "12.0").
-  if (text.find_first_of(".eE") == std::string::npos) text += ".0";
-  out += text;
-}
-
-/// Tiny layout helper so compact and pretty share one emission path.
-struct Layout {
-  bool pretty = false;
-  int depth = 0;
-
-  void open(std::string& out, char brace) {
-    out.push_back(brace);
-    ++depth;
-  }
-  void close(std::string& out, char brace, bool had_items) {
-    --depth;
-    if (pretty && had_items) newline(out);
-    out.push_back(brace);
-  }
-  void item(std::string& out, bool first) {
-    if (!first) out.push_back(',');
-    if (pretty) newline(out);
-  }
-  void newline(std::string& out) {
-    out.push_back('\n');
-    out.append(static_cast<std::size_t>(depth) * 2, ' ');
-  }
-  void key(std::string& out, const std::string& name) {
-    append_escaped(out, name);
-    out.push_back(':');
-    if (pretty) out.push_back(' ');
-  }
-};
-
-void append_scalars(std::string& out, Layout& layout,
-                    const std::vector<StatsSnapshot::Scalar>& scalars) {
-  layout.open(out, '{');
-  bool first = true;
-  for (const auto& scalar : scalars) {
-    layout.item(out, first);
-    first = false;
-    layout.key(out, scalar.name);
-    append_number(out, scalar.value);
-  }
-  layout.close(out, '}', !scalars.empty());
+void write_scalars(JsonWriter& json,
+                   const std::vector<StatsSnapshot::Scalar>& scalars) {
+  json.begin_object();
+  for (const auto& scalar : scalars) json.kv(scalar.name, scalar.value);
+  json.end_object();
 }
 
 }  // namespace
 
 std::string stats_json(const StatsSnapshot& snapshot, bool pretty) {
-  std::string out;
-  Layout layout{pretty, 0};
-  layout.open(out, '{');
-
-  layout.item(out, true);
-  layout.key(out, "schema");
-  append_escaped(out, kStatsSchema);
-
-  layout.item(out, false);
-  layout.key(out, "counters");
-  append_scalars(out, layout, snapshot.counters);
-
-  layout.item(out, false);
-  layout.key(out, "gauges");
-  append_scalars(out, layout, snapshot.gauges);
-
-  layout.item(out, false);
-  layout.key(out, "histograms");
-  layout.open(out, '{');
-  bool first = true;
+  std::ostringstream out;
+  JsonWriter json(out, pretty ? JsonStyle::kPretty : JsonStyle::kCompact);
+  json.begin_object();
+  json.kv("schema", kStatsSchema);
+  json.key("counters");
+  write_scalars(json, snapshot.counters);
+  json.key("gauges");
+  write_scalars(json, snapshot.gauges);
+  json.key("histograms");
+  json.begin_object();
   for (const auto& histo : snapshot.histograms) {
-    layout.item(out, first);
-    first = false;
-    layout.key(out, histo.name);
-    layout.open(out, '{');
-    layout.item(out, true);
-    layout.key(out, "count");
-    append_number(out, histo.count);
-    layout.item(out, false);
-    layout.key(out, "sum_micros");
-    append_number(out, histo.sum_micros);
-    layout.item(out, false);
-    layout.key(out, "max_micros");
-    append_number(out, histo.max_micros);
-    layout.item(out, false);
-    layout.key(out, "p50_micros");
-    append_number(out, histo.p50_micros);
-    layout.item(out, false);
-    layout.key(out, "p90_micros");
-    append_number(out, histo.p90_micros);
-    layout.item(out, false);
-    layout.key(out, "p99_micros");
-    append_number(out, histo.p99_micros);
-    layout.close(out, '}', true);
+    json.key(histo.name);
+    json.begin_object();
+    json.kv("count", histo.count);
+    json.kv("sum_micros", histo.sum_micros);
+    json.kv("max_micros", histo.max_micros);
+    json.kv("p50_micros", histo.p50_micros);
+    json.kv("p90_micros", histo.p90_micros);
+    json.kv("p99_micros", histo.p99_micros);
+    json.end_object();
   }
-  layout.close(out, '}', !snapshot.histograms.empty());
-
-  layout.close(out, '}', true);
-  if (pretty) out.push_back('\n');
-  return out;
+  json.end_object();
+  json.end_object();
+  if (pretty) out << '\n';
+  return std::move(out).str();
 }
 
 }  // namespace adacheck::obs

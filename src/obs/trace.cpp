@@ -1,39 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <fstream>
+#include <string_view>
+
+#include "obs/json_writer.hpp"
 
 namespace adacheck::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out.push_back(' ');  // control chars never appear in span names
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer* const tracer = new Tracer();  // never destroyed
@@ -42,16 +14,7 @@ Tracer& Tracer::instance() {
 
 void Tracer::complete(std::string name, const char* category,
                       std::uint64_t start_micros, std::uint64_t dur_micros) {
-  if (!enabled()) return;
-  Event event;
-  event.name = std::move(name);
-  event.category = category;
-  event.phase = 'X';
-  event.ts_micros = start_micros;
-  event.dur_micros = dur_micros;
-  event.tid = thread_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(event));
+  complete(std::move(name), category, start_micros, dur_micros, thread_id());
 }
 
 void Tracer::complete(std::string name, const char* category,
@@ -88,31 +51,26 @@ std::size_t Tracer::event_count() const {
 
 void Tracer::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  std::string line;
+  // One event per line; the framing literals need no escaping.
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  const char* separator = "\n  ";
   for (const auto& event : events_) {
-    if (!first) os << ",\n";
-    first = false;
-    line.clear();
-    line += "  {\"name\": ";
-    append_escaped(line, event.name);
-    line += ", \"cat\": ";
-    append_escaped(line, event.category);
-    line += ", \"ph\": \"";
-    line.push_back(event.phase);
-    line += "\", \"ts\": ";
-    line += std::to_string(event.ts_micros);
+    os << separator;
+    separator = ",\n  ";
+    JsonWriter json(os, JsonStyle::kCompact);
+    json.begin_object();
+    json.kv("name", event.name);
+    json.kv("cat", event.category);
+    json.kv("ph", std::string_view(&event.phase, 1));
+    json.kv("ts", event.ts_micros);
     if (event.phase == 'X') {
-      line += ", \"dur\": ";
-      line += std::to_string(event.dur_micros);
+      json.kv("dur", event.dur_micros);
     } else {
-      line += ", \"s\": \"t\"";
+      json.kv("s", "t");
     }
-    line += ", \"pid\": 1, \"tid\": ";
-    line += std::to_string(event.tid);
-    line += "}";
-    os << line;
+    json.kv("pid", 1);
+    json.kv("tid", event.tid);
+    json.end_object();
   }
   os << "\n]}\n";
 }

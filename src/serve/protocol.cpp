@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "scenario/schema.hpp"
 
 namespace adacheck::serve {
@@ -12,11 +12,11 @@ namespace {
 using namespace scenario::schema;
 using util::json::Value;
 
-void write_job_fields(harness::JsonWriter& json, const JobInfo& info) {
+void write_job_fields(obs::JsonWriter& json, const JobInfo& info) {
   json.kv("job", info.id);
   if (!info.name.empty()) json.kv("name", info.name);
   if (!info.source.empty()) json.kv("source", info.source);
-  json.kv("state", std::string(to_string(info.state)));
+  json.kv("state", to_string(info.state));
   json.kv("priority", info.priority);
   json.kv("cells_total", info.cells_total);
   json.kv("cells_done", info.cells_done);
@@ -32,12 +32,12 @@ void write_job_fields(harness::JsonWriter& json, const JobInfo& info) {
 class ResponseLine {
  public:
   explicit ResponseLine(bool ok)
-      : json_(out_, harness::JsonStyle::kCompact) {
+      : json_(out_, obs::JsonStyle::kCompact) {
     json_.begin_object();
-    json_.kv("schema", std::string(kProtocolSchema));
+    json_.kv("schema", kProtocolSchema);
     json_.kv("ok", ok);
   }
-  harness::JsonWriter& json() { return json_; }
+  obs::JsonWriter& json() { return json_; }
   std::string finish() {
     json_.end_object();
     out_ << "\n";
@@ -46,7 +46,7 @@ class ResponseLine {
 
  private:
   std::ostringstream out_;
-  harness::JsonWriter json_;
+  obs::JsonWriter json_;
 };
 
 std::uint64_t parse_job_id(const Value& v, const std::string& path) {
@@ -160,15 +160,15 @@ std::string error_response(const std::string& message, std::uint64_t job,
 
 std::string submit_response(std::uint64_t job, JobState state) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("submit"));
+  line.json().kv("req", "submit");
   line.json().kv("job", job);
-  line.json().kv("state", std::string(to_string(state)));
+  line.json().kv("state", to_string(state));
   return line.finish();
 }
 
 std::string status_response(const JobInfo& info) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("status"));
+  line.json().kv("req", "status");
   line.json().key("job");
   line.json().begin_object();
   write_job_fields(line.json(), info);
@@ -178,7 +178,7 @@ std::string status_response(const JobInfo& info) {
 
 std::string list_response(const std::vector<JobInfo>& jobs) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("list"));
+  line.json().kv("req", "list");
   line.json().key("jobs");
   line.json().begin_array();
   for (const auto& info : jobs) {
@@ -192,15 +192,15 @@ std::string list_response(const std::vector<JobInfo>& jobs) {
 
 std::string cancel_response(std::uint64_t job, JobState state) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("cancel"));
+  line.json().kv("req", "cancel");
   line.json().kv("job", job);
-  line.json().kv("state", std::string(to_string(state)));
+  line.json().kv("state", to_string(state));
   return line.finish();
 }
 
 std::string stream_response(std::uint64_t job, std::size_t from) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("stream"));
+  line.json().kv("req", "stream");
   line.json().kv("job", job);
   line.json().kv("from", from);
   return line.finish();
@@ -208,7 +208,7 @@ std::string stream_response(std::uint64_t job, std::size_t from) {
 
 std::string stats_response(const std::string& stats_json) {
   ResponseLine line(true);
-  line.json().kv("req", std::string("stats"));
+  line.json().kv("req", "stats");
   line.json().key("stats");
   line.json().raw_value(stats_json);
   return line.finish();
@@ -217,11 +217,11 @@ std::string stats_response(const std::string& stats_json) {
 std::string stream_eot(std::uint64_t job, JobState state,
                        std::size_t bytes) {
   std::ostringstream out;
-  harness::JsonWriter json(out, harness::JsonStyle::kCompact);
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("schema", std::string(kEotSchema));
+  json.kv("schema", kEotSchema);
   json.kv("job", job);
-  json.kv("state", std::string(to_string(state)));
+  json.kv("state", to_string(state));
   json.kv("bytes", bytes);
   json.end_object();
   out << "\n";
@@ -230,7 +230,7 @@ std::string stream_eot(std::uint64_t job, JobState state,
 
 std::string shutdown_response() {
   ResponseLine line(true);
-  line.json().kv("req", std::string("shutdown"));
+  line.json().kv("req", "shutdown");
   return line.finish();
 }
 

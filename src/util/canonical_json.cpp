@@ -1,71 +1,38 @@
 #include "util/canonical_json.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
+#include <sstream>
+
+#include "obs/json_writer.hpp"
 
 namespace adacheck::util {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  // The parser rejects NaN/Infinity literals, so every parsed number
-  // is finite; emit the shortest round-trip form (the same formatting
-  // the report writer uses, so canonical text and reports agree on
-  // number spelling).
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_canonical(std::string& out, const json::Value& value) {
+void write_canonical(obs::JsonWriter& json, const json::Value& value) {
   switch (value.kind()) {
     case json::Kind::kNull:
-      out += "null";
+      json.raw_value("null");
       return;
     case json::Kind::kBool:
-      out += value.as_bool() ? "true" : "false";
+      json.value(value.as_bool());
       return;
     case json::Kind::kNumber:
-      append_number(out, value.as_number());
+      // The parser rejects NaN/Infinity literals, so every parsed
+      // number is finite and gets the shortest round-trip spelling.
+      json.value(value.as_number());
       return;
     case json::Kind::kString:
-      append_escaped(out, value.as_string());
+      json.value(value.as_string());
       return;
-    case json::Kind::kArray: {
-      out += '[';
-      bool first = true;
+    case json::Kind::kArray:
+      json.begin_array();
       for (const auto& element : value.as_array()) {
-        if (!first) out += ',';
-        first = false;
-        append_canonical(out, element);
+        write_canonical(json, element);
       }
-      out += ']';
+      json.end_array();
       return;
-    }
     case json::Kind::kObject: {
       // Sort members bytewise by key; the parser already rejected
       // duplicates, so the order is total.
@@ -77,16 +44,12 @@ void append_canonical(std::string& out, const json::Value& value) {
                 [](const json::Member* a, const json::Member* b) {
                   return a->first < b->first;
                 });
-      out += '{';
-      bool first = true;
+      json.begin_object();
       for (const auto* member : members) {
-        if (!first) out += ',';
-        first = false;
-        append_escaped(out, member->first);
-        out += ':';
-        append_canonical(out, member->second);
+        json.key(member->first);
+        write_canonical(json, member->second);
       }
-      out += '}';
+      json.end_object();
       return;
     }
   }
@@ -103,9 +66,10 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }  // namespace
 
 std::string canonical_json(const json::Value& value) {
-  std::string out;
-  append_canonical(out, value);
-  return out;
+  std::ostringstream out;
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
+  write_canonical(json, value);
+  return std::move(out).str();
 }
 
 std::string Hash128::hex() const {

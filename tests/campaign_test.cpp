@@ -210,6 +210,11 @@ TEST(CampaignFingerprint, SensitiveToEveryResultAffectingKnob) {
   auto row = base;
   row.experiments[0].rows[0].utilization = 0.76;
   EXPECT_NE(cell_fingerprint(row), fp);
+
+  // Bytes after an embedded NUL are part of the identity too.
+  auto nul = base;
+  nul.experiments[0].id = std::string("mini\0x", 6);
+  EXPECT_NE(cell_fingerprint(nul), fp);
 }
 
 TEST(CampaignFingerprint, ThreadsAreNotPartOfTheIdentity) {

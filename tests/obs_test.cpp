@@ -126,6 +126,15 @@ TEST(ObsRegistry, StatsJsonParsesAndCarriesTheSchema) {
     EXPECT_EQ(histo->find("sum_micros")->as_int(), 250);
     EXPECT_EQ(histo->find("max_micros")->as_int(), 250);
   }
+  // Numbers take the report writer's shortest round-trip spelling: an
+  // integral quantile is "250", not "250.0".
+  EXPECT_EQ(stats_json(registry.snapshot(), false),
+            R"({"schema":"adacheck-stats-v1",)"
+            R"("counters":{"campaign.cache_hits":4},)"
+            R"("gauges":{"serve.queue_depth":2},)"
+            R"("histograms":{"serve.request_us.list":{"count":1,)"
+            R"("sum_micros":250,"max_micros":250,"p50_micros":250,)"
+            R"("p90_micros":250,"p99_micros":250}}})");
   // Pretty is a formatting choice, not a content one.
   EXPECT_EQ(
       util::canonical_json(util::json::parse(
@@ -177,6 +186,22 @@ TEST(ObsTracer, BuffersSpansAndInstants) {
 
   tracer.clear();
   EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+TEST(ObsTracer, SpanNamesRoundTripThroughEscaping) {
+  TracerSandbox sandbox;
+  auto& tracer = Tracer::instance();
+  tracer.set_enabled(true);
+  const std::string name = "q\"b\\c\x01" "d";
+  tracer.complete(name, "test", 1, 2, 3);
+
+  std::ostringstream out;
+  tracer.write_json(out);
+  const auto root = util::json::parse(out.str());
+  const auto& events = root.find("traceEvents")->as_array();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].find("name")->as_string(), name);
+  EXPECT_EQ(events[0].find("tid")->as_int(), 3);
 }
 
 TEST(ObsTracer, SpanGatesOnEnabledAtConstruction) {

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "harness/json_report.hpp"
 #include "harness/paper_params.hpp"
+#include "harness/stream_report.hpp"
 #include "harness/sweep.hpp"
 #include "scenario/binder.hpp"
+#include "util/json.hpp"
 
 namespace adacheck::scenario {
 namespace {
@@ -202,6 +205,38 @@ TEST(ScenarioRun, ByteIdenticalAcrossThreadCounts) {
   const std::string parallel =
       harness::sweep_json(run_scenario(scenario), no_perf);
   EXPECT_EQ(serial, parallel);
+}
+
+// An embedded NUL is a legal JSON string character (the parser accepts
+// \u0000); every byte after it must survive into the report and the
+// JSONL stream.
+TEST(ScenarioRun, EmbeddedNulInAnIdRoundTripsThroughEveryEncoder) {
+  auto scenario = parse_scenario_text(R"json({
+    "schema": "adacheck-scenario-v1", "name": "nul",
+    "config": {"runs": 32},
+    "experiments": [{"id": "sm\u0000oke", "fault_tolerance": 5,
+                     "schemes": ["Poisson"],
+                     "rows": [{"utilization": 0.8, "lambda": 1.4e-3}]}]
+  })json");
+  const std::string id("sm\0oke", 6);
+  ASSERT_EQ(scenario.experiments[0].id, id);
+
+  std::ostringstream jsonl;
+  harness::JsonlCellStream stream(
+      jsonl, harness::sweep_cell_refs(bind_experiments(scenario)));
+  harness::SweepOptions options;
+  options.observer = &stream;
+  const harness::JsonReportOptions no_perf{/*include_perf=*/false};
+  const auto report = util::json::parse(
+      harness::sweep_json(run_scenario(scenario, options), no_perf));
+  EXPECT_EQ(report.find("experiments")->as_array()[0].find("id")->as_string(),
+            id);
+
+  const std::string line = jsonl.str();
+  ASSERT_FALSE(line.empty());
+  ASSERT_EQ(line.back(), '\n');
+  const auto cell = util::json::parse(line.substr(0, line.size() - 1));
+  EXPECT_EQ(cell.find("experiment")->as_string(), id);
 }
 
 // --- DAG graph sections ---------------------------------------------------

@@ -44,7 +44,7 @@
 #include "campaign/spec.hpp"
 #include "cli/command.hpp"
 #include "harness/json_report.hpp"
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "harness/stream_report.hpp"
 #include "model/fault_env.hpp"
 #include "obs/registry.hpp"
@@ -835,9 +835,9 @@ int cmd_submit(const util::CliArgs& args) {
   }
 
   std::ostringstream request;
-  harness::JsonWriter json(request, harness::JsonStyle::kCompact);
+  obs::JsonWriter json(request, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("req", std::string("submit"));
+  json.kv("req", "submit");
   json.key("scenario");
   json.raw_value(util::canonical_json(document));
   if (priority != 0) json.kv("priority", priority);

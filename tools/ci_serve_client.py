@@ -27,6 +27,23 @@ import time
 EOT_SCHEMA = "adacheck-serve-eot-v1"
 
 
+def reject_constant(name):
+    raise ValueError("non-standard JSON constant " + name)
+
+
+def unique_object(pairs):
+    keys = [k for k, _ in pairs]
+    assert len(keys) == len(set(keys)), "duplicate JSON keys: %r" % keys
+    return dict(pairs)
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN/Infinity and duplicate keys, as the
+    project's own parser does (Python's default accepts both)."""
+    return json.loads(text, parse_constant=reject_constant,
+                      object_pairs_hook=unique_object)
+
+
 def main():
     port = int(sys.argv[1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=300)
@@ -38,7 +55,7 @@ def main():
 
     def rpc(obj):
         send(obj)
-        return json.loads(f.readline())
+        return strict_loads(f.readline())
 
     def wait_done(job_id, want="done"):
         for _ in range(3000):
@@ -65,14 +82,14 @@ def main():
     # Stream the low-priority smoke job to completion; the bytes must
     # equal the batch run (the shell step cmp's the two files).
     send({"req": "stream", "job": lo["job"]})
-    opening = json.loads(f.readline())
+    opening = strict_loads(f.readline())
     assert opening["ok"] and opening["req"] == "stream", opening
     chunks = []
     while True:
         line = f.readline()
         assert line, "stream closed before EOT"
         if '"%s"' % EOT_SCHEMA in line:
-            eot = json.loads(line)
+            eot = strict_loads(line)
             assert eot["schema"] == EOT_SCHEMA, eot
             assert eot["state"] == "done", eot
             assert eot["bytes"] == sum(len(c.encode()) for c in chunks), eot

@@ -10,11 +10,15 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "model/fault.hpp"
 #include "policy/factory.hpp"
+#include "sim/engine.hpp"
 #include "sim/monte_carlo.hpp"
 #include "tests/test_helpers.hpp"
 #include "util/rng.hpp"
@@ -133,6 +137,266 @@ TEST(SeedParity, TmrStatisticsAlsoBitForBit) {
   EXPECT_EQ(stats.finish_time_success.mean(), 0x1.d4376e89733c4p+12);
   EXPECT_EQ(stats.faults.mean(), 0x1.a3d70a3d70a3fp+3);
   EXPECT_EQ(stats.rollbacks.mean(), 0x1.67ae147ae147bp-1);
+}
+
+// Exact engine output across every fault source, speed path and
+// replica count the engine specialises or binds: one cell's
+// CellStats plus one seeded run's meter, captured before the engine
+// loop became a template over the source type.  A refactor of the
+// engine that is meant to keep every byte must keep every value here.
+struct CellPin {
+  std::size_t successes = 0;
+  double energy_success = 0.0;
+  double energy_all = 0.0;
+  double finish_time = 0.0;
+  double faults = 0.0;
+  double rollbacks = 0.0;
+  double corrections = 0.0;
+  double high_speed_cycles = 0.0;
+};
+
+struct RunPin {
+  std::vector<std::pair<double, double>> breakdown;
+  double cycles_executed = 0.0;
+};
+
+/// The pin literal matching `stats`, printed on mismatch.
+std::string describe(const sim::CellStats& s) {
+  std::ostringstream os;
+  os << std::hexfloat << "{" << s.completion.successes() << ", "
+     << s.energy_success.mean() << ", " << s.energy_all.mean() << ", "
+     << s.finish_time_success.mean() << ", " << s.faults.mean() << ", "
+     << s.rollbacks.mean() << ", " << s.corrections.mean() << ", "
+     << s.high_speed_cycles.mean() << "}";
+  return os.str();
+}
+
+std::string describe(const sim::RunResult& r) {
+  std::ostringstream os;
+  os << std::hexfloat << "{{";
+  for (const auto& [f, c] : r.meter.breakdown()) {
+    os << "{" << f << ", " << c << "}, ";
+  }
+  os << "}, " << r.cycles_executed << "}";
+  return os.str();
+}
+
+void expect_run(const sim::RunResult& run, const RunPin& pin) {
+  SCOPED_TRACE("actual run " + describe(run));
+  EXPECT_EQ(run.meter.breakdown(), pin.breakdown);
+  EXPECT_EQ(run.cycles_executed, pin.cycles_executed);
+}
+
+/// Runs `runs` runs of the cell, and one run at `seed` on its own.
+void expect_parity(const sim::SimSetup& setup,
+                   const sim::PolicyFactory& factory, int runs,
+                   std::uint64_t seed, const CellPin& cell,
+                   const RunPin& run) {
+  sim::MonteCarloConfig config;
+  config.runs = runs;
+  config.seed = seed;
+  const auto stats = sim::run_cell(setup, factory, config);
+  {
+    SCOPED_TRACE("actual cell " + describe(stats));
+    EXPECT_EQ(stats.completion.successes(), cell.successes);
+    EXPECT_EQ(stats.energy_success.mean(), cell.energy_success);
+    EXPECT_EQ(stats.energy_all.mean(), cell.energy_all);
+    EXPECT_EQ(stats.finish_time_success.mean(), cell.finish_time);
+    EXPECT_EQ(stats.faults.mean(), cell.faults);
+    EXPECT_EQ(stats.rollbacks.mean(), cell.rollbacks);
+    EXPECT_EQ(stats.corrections.mean(), cell.corrections);
+    EXPECT_EQ(stats.high_speed_cycles.mean(), cell.high_speed_cycles);
+  }
+  const auto policy = factory();
+  expect_run(sim::simulate_seeded(setup, *policy, seed), run);
+}
+
+sim::SimSetup parity_setup(double utilization, FaultModel fault_model,
+                           FaultEnvironment env = {}) {
+  return {task_from_utilization(utilization, 1.0, 10'000.0, 5),
+          CheckpointCosts::paper_scp_flavor(), DvsProcessor::two_speed(2.0),
+          fault_model, env};
+}
+
+/// A DVS table of `levels` evenly spaced speeds from f = 1 to f = 2.
+DvsProcessor even_levels(int levels) {
+  std::vector<SpeedLevel> table;
+  const VoltageLaw law;
+  for (int i = 0; i < levels; ++i) {
+    const double f = 1.0 + static_cast<double>(i) / (levels - 1);
+    table.push_back({f, law.voltage_for(f)});
+  }
+  return DvsProcessor(std::move(table));
+}
+
+/// A CCP plan that moves up one speed level, wrapping, at every
+/// committed CSCP: each commit hands the engine a replacement decision.
+class RotatingSpeedPolicy final : public sim::ICheckpointPolicy {
+ public:
+  std::string name() const override { return "rotating"; }
+  bool reset() override {
+    level_ = 0;
+    return true;
+  }
+  sim::Decision initial(const sim::ExecContext& ctx) override {
+    return plan(ctx);
+  }
+  sim::Decision on_fault(const sim::ExecContext& ctx) override {
+    return plan(ctx);
+  }
+  std::optional<sim::Decision> on_commit(
+      const sim::ExecContext& ctx) override {
+    level_ = (level_ + 1) % ctx.processor->num_levels();
+    return plan(ctx);
+  }
+
+ private:
+  sim::Decision plan(const sim::ExecContext& ctx) const {
+    sim::Decision d;
+    d.speed = ctx.processor->level(level_);
+    d.cscp_interval = 100.0;
+    d.sub_interval = 25.0;
+    d.inner = sim::InnerKind::kCcp;
+    return d;
+  }
+  std::size_t level_ = 0;
+};
+
+TEST(SeedParity, MmppBurstyOrbitIsPinned) {
+  expect_parity(parity_setup(0.78, {1.4e-3, false},
+                             find_environment("bursty-orbit")),
+                policy::make_policy_factory("A_D_S"), 300, 101,
+                {300, 0x1.042a8841815d3p+16, 0x1.042a8841815d3p+16,
+                 0x1.eb471488a4115p+12, 0x1.30b17e4b17e4cp+4,
+                 0x1.a19999999999cp+3, 0x0p+0, 0x1.6e42085396428p+12},
+                {{{0x1p+0, 0x1.952048939221ap+12},
+                  {0x1p+1, 0x1.2edb1ef7c8048p+12}},
+                 0x1.61fdb3c5ad116p+13});
+}
+
+TEST(SeedParity, WeibullRenewalIsPinned) {
+  expect_parity(parity_setup(0.80, {1.6e-3, false},
+                             find_environment("weibull-infant")),
+                policy::make_policy_factory("A_D_C"), 300, 102,
+                {300, 0x1.0ae043a716abep+16, 0x1.0ae043a716abep+16,
+                 0x1.ed958a716f432p+12, 0x1.864b17e4b17e5p+3,
+                 0x1.323d70a3d70a7p+3, 0x0p+0, 0x1.7e9d02c7479c8p+12},
+                {{{0x1p+0, 0x1.9c8d68d7a3a41p+12},
+                  {0x1p+1, 0x1.2095fca832028p+12}},
+                 0x1.5e91b2bfead3cp+13});
+}
+
+TEST(SeedParity, LogNormalRenewalIsPinned) {
+  expect_parity(parity_setup(0.76, {1.4e-3, false},
+                             find_environment("lognormal-heavy")),
+                policy::make_policy_factory("A_D"), 300, 103,
+                {297, 0x1.042f589e1fc19p+16, 0x1.04a4eea4e1714p+16,
+                 0x1.edd2cfebd61cdp+12, 0x1.b9eb851eb851dp+3,
+                 0x1.597e4b17e4b19p+3, 0x0p+0, 0x1.6cf8409b07ebap+12},
+                {{{0x1p+0, 0x1.e2bad86d70498p+12},
+                  {0x1p+1, 0x1.dd3f8b4dfab1p+11}},
+                 0x1.68ad4f0a36d1p+13});
+}
+
+TEST(SeedParity, GammaRenewalIsPinned) {
+  expect_parity(parity_setup(0.70, {1.2e-3, false},
+                             find_environment("gamma-regular")),
+                policy::make_policy_factory("k-f-t"), 300, 104,
+                {177, 0x1.2c2564cd51e27p+15, 0x1.31f6797350ef4p+15,
+                 0x1.2c2564cd51e27p+13, 0x1.42c5f92c5f92dp+3,
+                 0x1.4147ae147ae19p+3, 0x0p+0, 0x0p+0},
+                {{{0x1p+0, 0x1.2dcbf2df2c33dp+13}}, 0x1.2dcbf2df2c33dp+13});
+}
+
+TEST(SeedParity, CommonCauseTmrIsPinned) {
+  expect_parity(parity_setup(0.84, {2.0e-3, false, 3},
+                             find_environment("common-cause")),
+                policy::make_policy_factory("A_D_C"), 300, 105,
+                {300, 0x1.d58e34d806b4fp+15, 0x1.d58e34d806b4fp+15,
+                 0x1.e9b3591a66928p+12, 0x1.b428f5c28f5c3p+3,
+                 0x1.fae147ae147acp+1, 0x1.028f5c28f5c29p+3,
+                 0x1.2b9b6063c48e8p+12},
+                {{{0x1p+0, 0x1.f193517fcbb58p+11},
+                  {0x1p+1, 0x1.789ce56b40066p+12}},
+                 0x1.38b3471592f0dp+13});
+}
+
+TEST(SeedParity, FaultsDuringOverheadArePinned) {
+  expect_parity(parity_setup(0.78, {2.0e-3, true}),
+                policy::make_policy_factory("A_D_C"), 300, 106,
+                {297, 0x1.10bac7add76e3p+16, 0x1.109b22eff190cp+16,
+                 0x1.11ae9d1806e54p+13, 0x1.1aeeeeeeeeeedp+4,
+                 0x1.e428f5c28f5c4p+3, 0x0p+0, 0x1.69877096dab3bp+12},
+                {{{0x1p+0, 0x1.c5895e2d7f492p+12},
+                  {0x1p+1, 0x1.21b3c42b1d8ecp+12}},
+                 0x1.739e912c4e6c8p+13});
+}
+
+TEST(SeedParity, ThreeLevelDvsSwitchingSpeedIsPinned) {
+  auto setup = parity_setup(0.86, {2.0e-3, false});
+  setup.processor = even_levels(3);
+  const auto factory = policy::make_policy_factory("A_D_S");
+  expect_parity(setup, factory, 300, 107,
+                {300, 0x1.ef3acfa62ed29p+15, 0x1.ef3acfa62ed29p+15,
+                 0x1.1aa6d3726f894p+13, 0x1.f2e147ae147adp+3,
+                 0x1.b66666666666ap+3, 0x0p+0, 0x1.fe2703db2c8e1p+12},
+                {{{0x1p+0, 0x1.6df3bc057a0e3p+10},
+                  {0x1.8p+0, 0x1.2d628512d2cb7p+13}},
+                 0x1.5b20fc93820cfp+13});
+  // The pinned run really switches speed.
+  EXPECT_GT(sim::simulate_seeded(setup, *factory(), 107).speed_switches, 0);
+}
+
+TEST(SeedParity, SevenLevelTableReachesTheMeterSpillAndIsPinned) {
+  auto setup = parity_setup(0.50, {1.0e-3, false});
+  setup.processor = even_levels(7);
+  const sim::PolicyFactory factory = [] {
+    return std::make_unique<RotatingSpeedPolicy>();
+  };
+  expect_parity(setup, factory, 300, 108,
+                {300, 0x1.8b4b1eb851eb9p+15, 0x1.8b4b1eb851eb9p+15,
+                 0x1.6331c46164ce9p+12, 0x1.ce147ae147ae4p+1,
+                 0x1.c740da740da74p+1, 0x0p+0, 0x1.c857c4d5e6f81p+12},
+                {{{0x1p+0, 0x1.c7p+9},
+                  {0x1.2aaaaaaaaaaabp+0, 0x1.f0aaaaaaaaaa8p+9},
+                  {0x1.5555555555555p+0, 0x1.0d2aaaaaaaaacp+10},
+                  {0x1.8p+0, 0x1.22p+10},
+                  {0x1.aaaaaaaaaaaaap+0, 0x1.6515555555556p+10},
+                  {0x1.d555555555556p+0, 0x1.7c7fffffffffdp+10},
+                  {0x1p+1, 0x1.1ap+10}},
+                 0x1.00d2aaaaaaaaap+13});
+  // One run charges all seven frequencies: more than the inline slots.
+  RotatingSpeedPolicy policy;
+  EXPECT_EQ(sim::simulate_seeded(setup, policy, 108).meter.breakdown().size(),
+            7u);
+}
+
+TEST(SeedParity, FiveReplicaGroupIsPinned) {
+  expect_parity(parity_setup(0.82, {2.5e-3, false, 5}),
+                policy::make_policy_factory("A_D_S"), 300, 109,
+                {300, 0x1.abf33a9e2eb63p+15, 0x1.abf33a9e2eb63p+15,
+                 0x1.c54e2732ebd67p+12, 0x1.fce81b4e81b4dp+3,
+                 0x1.a740da740da73p-4, 0x1.b6147ae147ae2p+3,
+                 0x1.0c65895ba10ebp+12},
+                {{{0x1p+0, 0x1.44baada361c4ep+12},
+                  {0x1p+1, 0x1.0605525c9e3b3p+12}},
+                 0x1.256p+13});
+}
+
+TEST(SeedParity, ReplayThroughSimulateIsPinned) {
+  auto setup = parity_setup(0.80, {1.4e-3, false, 3});
+  const FaultTrace trace({{300.0, 0},
+                          {310.0, 1},
+                          {2'000.0, 2},
+                          {4'100.0, kAllReplicas},
+                          {6'050.5, 1}});
+  ReplayFaultSource source(trace);
+  auto policy = policy::make_policy_factory("A_D_S")();
+  const auto run = sim::simulate(setup, *policy, source);
+  expect_run(run, {{{0x1p+0, 0x1.39294ffd8de2p+12},
+                    {0x1p+1, 0x1.10b698bed8652p+12}},
+                   0x1.24eff45e3323ap+13});
+  EXPECT_EQ(run.faults, 5);
 }
 
 /// Counts arrivals of `source` on [0, horizon).

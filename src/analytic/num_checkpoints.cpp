@@ -42,13 +42,21 @@ int fig2_optimize(double interval, int m_max, EvalContinuous r_cont,
 
 int num_scp(const ScpRenewalParams& params) {
   params.validate();
+  return num_scp_unchecked(params);
+}
+
+int num_ccp(const CcpRenewalParams& params) {
+  params.validate();
+  return num_ccp_unchecked(params);
+}
+
+int num_scp_unchecked(const ScpRenewalParams& params) {
   return argmin_sub_intervals(
       max_sub_intervals(params.interval, params.costs),
       [&](int m) { return scp_expected_time_unchecked(params, m); });
 }
 
-int num_ccp(const CcpRenewalParams& params) {
-  params.validate();
+int num_ccp_unchecked(const CcpRenewalParams& params) {
   return argmin_sub_intervals(
       max_sub_intervals(params.interval, params.costs),
       [&](int m) { return ccp_expected_time_unchecked(params, m); });

@@ -49,6 +49,13 @@ int num_scp(const ScpRenewalParams& params);
 /// The policies' m for CCPs: the exact argmin of R2(m).
 int num_ccp(const CcpRenewalParams& params);
 
+/// num_scp / num_ccp, bit for bit, without checking params: for
+/// callers whose params already satisfy validate() (the adaptive
+/// policies plan with costs validated once with the setup, a positive
+/// interval and a non-negative rate).
+int num_scp_unchecked(const ScpRenewalParams& params);
+int num_ccp_unchecked(const CcpRenewalParams& params);
+
 /// The paper's Fig. 2 procedure: golden-section search, then rounding.
 int num_scp_fig2(const ScpRenewalParams& params);
 int num_ccp_fig2(const CcpRenewalParams& params);

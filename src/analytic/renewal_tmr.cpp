@@ -136,6 +136,15 @@ double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
 
 int num_scp_tmr(const TmrRenewalParams& params) {
   params.validate();
+  return num_scp_tmr_unchecked(params);
+}
+
+int num_ccp_tmr(const TmrRenewalParams& params) {
+  params.validate();
+  return num_ccp_tmr_unchecked(params);
+}
+
+int num_scp_tmr_unchecked(const TmrRenewalParams& params) {
   const int m_max = max_sub_intervals(params.interval, params.costs);
   const TmrScpScratch scratch(m_max);  // one buffer for the whole scan
   return argmin_sub_intervals(m_max, [&](int m) {
@@ -143,8 +152,7 @@ int num_scp_tmr(const TmrRenewalParams& params) {
   });
 }
 
-int num_ccp_tmr(const TmrRenewalParams& params) {
-  params.validate();
+int num_ccp_tmr_unchecked(const TmrRenewalParams& params) {
   return argmin_sub_intervals(
       max_sub_intervals(params.interval, params.costs),
       [&](int m) { return tmr_ccp_kernel(params, m); });

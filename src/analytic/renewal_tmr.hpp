@@ -57,4 +57,9 @@ double tmr_scp_expected_time(const TmrRenewalParams& params, int m);
 int num_scp_tmr(const TmrRenewalParams& params);
 int num_ccp_tmr(const TmrRenewalParams& params);
 
+/// num_scp_tmr / num_ccp_tmr, bit for bit, without checking params:
+/// for callers whose params already satisfy validate().
+int num_scp_tmr_unchecked(const TmrRenewalParams& params);
+int num_ccp_tmr_unchecked(const TmrRenewalParams& params);
+
 }  // namespace adacheck::analytic

@@ -7,25 +7,22 @@ namespace adacheck::model {
 
 void EnergyMeter::charge(const SpeedLevel& level, double cycles) {
   if (cycles < 0.0) throw std::invalid_argument("EnergyMeter: negative cycles");
-  total_ += level.energy(cycles);
-  total_cycles_ += cycles;
+  charge_slot(slot(level.frequency), level.voltage * level.voltage, cycles);
+}
+
+std::size_t EnergyMeter::slot(double frequency) {
   for (std::size_t i = 0; i < slot_count_; ++i) {
-    if (slots_[i].frequency == level.frequency) {
-      slots_[i].cycles += cycles;
-      return;
-    }
+    if (slots_[i].frequency == frequency) return i;
   }
   if (slot_count_ < kInlineLevels) {
-    slots_[slot_count_++] = {level.frequency, cycles};
-    return;
+    slots_[slot_count_] = {frequency};
+    return slot_count_++;
   }
-  for (auto& entry : spill_) {
-    if (entry.frequency == level.frequency) {
-      entry.cycles += cycles;
-      return;
-    }
+  for (std::size_t i = 0; i < spill_.size(); ++i) {
+    if (spill_[i].frequency == frequency) return kInlineLevels + i;
   }
-  spill_.push_back({level.frequency, cycles});
+  spill_.push_back({frequency});
+  return kInlineLevels + spill_.size() - 1;
 }
 
 double EnergyMeter::cycles_at(double frequency) const noexcept {

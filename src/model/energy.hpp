@@ -10,7 +10,9 @@
 // The meter sits on the Monte-Carlo hot path (one per simulated run),
 // so the per-frequency table lives in a fixed inline array — charging
 // never touches the heap for processors with up to kInlineLevels speed
-// levels; beyond that it spills to a vector.
+// levels; beyond that it spills to a vector.  The engine resolves a
+// level's slot once per decision (slot()) and then charges by index
+// (charge_slot()), with the same additions charge() makes.
 #pragma once
 
 #include <array>
@@ -28,6 +30,20 @@ class EnergyMeter {
   /// checkpoint overhead alike — everything the CPU executes costs).
   void charge(const SpeedLevel& level, double cycles);
 
+  /// Index of the slot holding `frequency`'s cycles, appending an
+  /// empty slot if this frequency was never charged.  Indices are
+  /// stable until reset().
+  std::size_t slot(double frequency);
+  /// charge(level, cycles), bit for bit, for the level whose slot() is
+  /// `slot` and whose V^2 is `v2` (voltage * voltage).  No sign check:
+  /// `cycles` must be >= 0.
+  void charge_slot(std::size_t slot, double v2, double cycles) noexcept {
+    total_ += v2 * cycles;
+    total_cycles_ += cycles;
+    (slot < kInlineLevels ? slots_[slot] : spill_[slot - kInlineLevels])
+        .cycles += cycles;
+  }
+
   double total() const noexcept { return total_; }
   double cycles_at(double frequency) const noexcept;
   double total_cycles() const noexcept { return total_cycles_; }
@@ -43,7 +59,9 @@ class EnergyMeter {
  private:
   struct Entry {
     double frequency = 0.0;
-    double cycles = 0.0;
+    /// A new slot starts at -0.0, the exact additive identity, so its
+    /// first charge stores that charge's cycles bit for bit.
+    double cycles = -0.0;
   };
   /// Covers every realistic DVS table (the paper uses two levels).
   static constexpr std::size_t kInlineLevels = 6;

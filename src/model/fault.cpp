@@ -9,6 +9,18 @@
 
 namespace adacheck::model {
 
+namespace {
+
+void check_processor(int processor) {
+  if (processor < kAllReplicas || processor >= kMaxProcessors) {
+    throw std::invalid_argument(
+        "FaultTrace: processor must be a replica index below 32, or -1 "
+        "for a common-cause strike");
+  }
+}
+
+}  // namespace
+
 FaultTrace::FaultTrace(std::vector<FaultEvent> events)
     : events_(std::move(events)) {
   if (!std::is_sorted(events_.begin(), events_.end(),
@@ -17,17 +29,14 @@ FaultTrace::FaultTrace(std::vector<FaultEvent> events)
                       })) {
     throw std::invalid_argument("FaultTrace: events must be time-sorted");
   }
+  for (const auto& event : events_) check_processor(event.processor);
 }
 
 void FaultTrace::record(double time, int processor) {
   if (!events_.empty() && time < events_.back().time) {
     throw std::invalid_argument("FaultTrace: out-of-order record");
   }
-  if (processor < kAllReplicas || processor >= kMaxProcessors) {
-    throw std::invalid_argument(
-        "FaultTrace: processor must be a replica index below 32, or -1 "
-        "for a common-cause strike");
-  }
+  check_processor(processor);
   events_.push_back({time, processor});
 }
 
@@ -51,23 +60,6 @@ PoissonFaultSource::PoissonFaultSource(const FaultModel& model,
       rng_.below(static_cast<std::uint64_t>(processors_)));
 }
 
-void PoissonFaultSource::advance() {
-  next_time_ += rng_.exponential(pair_rate_);
-  next_proc_ = static_cast<int>(
-      rng_.below(static_cast<std::uint64_t>(processors_)));
-}
-
-double PoissonFaultSource::next_fault_after(double from_exposure,
-                                            int& processor) {
-  // The process is memoryless, so we only ever move forward; the engine
-  // queries with non-decreasing exposure except after rollbacks, where
-  // re-executed work is *new* exposure (faults can strike again), which
-  // the engine models by continuing to accumulate exposure time.
-  while (next_time_ < from_exposure) advance();
-  processor = next_proc_;
-  return next_time_;
-}
-
 namespace {
 
 /// Common-cause coin flip, else a uniform replica index — the shared
@@ -80,21 +72,36 @@ int draw_struck_processor(util::Xoshiro256& rng, double common_cause,
   return static_cast<int>(rng.below(static_cast<std::uint64_t>(processors)));
 }
 
+/// The checks the checked environment sources run before delegating
+/// to their Prevalidated constructors; returns `env`.
+const FaultEnvironment& checked(const FaultModel& model,
+                                const FaultEnvironment& env, bool bursty) {
+  if (!model.valid()) throw std::invalid_argument("FaultModel: invalid");
+  env.validate();
+  if (env.burst.enabled != bursty) {
+    throw std::invalid_argument(
+        bursty ? "MmppFaultSource: environment has no burst process"
+               : "RenewalFaultSource: bursty environments use "
+                 "MmppFaultSource");
+  }
+  return env;
+}
+
 }  // namespace
 
 RenewalFaultSource::RenewalFaultSource(const FaultModel& model,
                                        const FaultEnvironment& env,
                                        util::Xoshiro256& rng)
+    : RenewalFaultSource(model, checked(model, env, /*bursty=*/false), rng,
+                         kPrevalidated) {}
+
+RenewalFaultSource::RenewalFaultSource(const FaultModel& model,
+                                       const FaultEnvironment& env,
+                                       util::Xoshiro256& rng, Prevalidated)
     : kind_(env.arrival), shape_(env.shape),
       common_cause_(env.common_cause_fraction),
       processors_(model.processors), rng_(rng), next_time_(0.0),
       next_proc_(0) {
-  if (!model.valid()) throw std::invalid_argument("FaultModel: invalid");
-  env.validate();
-  if (env.burst.enabled) {
-    throw std::invalid_argument(
-        "RenewalFaultSource: bursty environments use MmppFaultSource");
-  }
   // Pin the mean inter-arrival gap to 1/rate so every distribution
   // family injects faults at the same long-run rate as the Poisson
   // source; a rate of 0 disables arrivals entirely.
@@ -163,6 +170,12 @@ double RenewalFaultSource::next_fault_after(double from_exposure,
 MmppFaultSource::MmppFaultSource(const FaultModel& model,
                                  const FaultEnvironment& env,
                                  util::Xoshiro256& rng)
+    : MmppFaultSource(model, checked(model, env, /*bursty=*/true), rng,
+                      kPrevalidated) {}
+
+MmppFaultSource::MmppFaultSource(const FaultModel& model,
+                                 const FaultEnvironment& env,
+                                 util::Xoshiro256& rng, Prevalidated)
     : quiet_rate_(model.pair_rate()),
       burst_rate_(model.pair_rate() * env.burst.rate_multiplier),
       mean_quiet_dwell_(env.burst.mean_quiet_dwell),
@@ -170,12 +183,6 @@ MmppFaultSource::MmppFaultSource(const FaultModel& model,
       common_cause_(env.common_cause_fraction),
       processors_(model.processors), rng_(rng), cursor_(0.0),
       next_time_(0.0), next_proc_(0) {
-  if (!model.valid()) throw std::invalid_argument("FaultModel: invalid");
-  env.validate();
-  if (!env.burst.enabled) {
-    throw std::invalid_argument(
-        "MmppFaultSource: environment has no burst process");
-  }
   if (quiet_rate_ <= 0.0) {
     // No arrivals in either state; skip the modulation walk entirely
     // (it would otherwise flip states forever chasing an infinite gap).

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -68,6 +69,8 @@ struct FaultEvent {
 class FaultTrace {
  public:
   FaultTrace() = default;
+  /// Takes events as record() would: time-sorted, each naming a
+  /// replica below kMaxProcessors or kAllReplicas.
   explicit FaultTrace(std::vector<FaultEvent> events);
 
   void record(double time, int processor);
@@ -94,11 +97,28 @@ class FaultSource {
   virtual double next_fault_after(double from_exposure, int& processor) = 0;
 };
 
+/// Tag for the environment source constructors that skip validating
+/// the model and environment: for callers that validated both once
+/// (the sweep validates each cell's setup before its first run).
+struct Prevalidated {};
+inline constexpr Prevalidated kPrevalidated{};
+
 /// Memoryless stochastic source at the pair rate 2*lambda.
 class PoissonFaultSource final : public FaultSource {
  public:
   PoissonFaultSource(const FaultModel& model, util::Xoshiro256& rng);
-  double next_fault_after(double from_exposure, int& processor) override;
+  /// Inline so the engine, specialised on this type, samples without a
+  /// call per query.
+  double next_fault_after(double from_exposure, int& processor) override {
+    // The process is memoryless, so we only ever move forward; the
+    // engine queries with non-decreasing exposure except after
+    // rollbacks, where re-executed work is *new* exposure (faults can
+    // strike again), which the engine models by continuing to
+    // accumulate exposure time.
+    while (next_time_ < from_exposure) advance();
+    processor = next_proc_;
+    return next_time_;
+  }
 
  private:
   double pair_rate_;
@@ -106,7 +126,11 @@ class PoissonFaultSource final : public FaultSource {
   util::Xoshiro256& rng_;
   double next_time_;
   int next_proc_;
-  void advance();
+  void advance() {
+    next_time_ += rng_.exponential(pair_rate_);
+    next_proc_ = static_cast<int>(
+        rng_.below(static_cast<std::uint64_t>(processors_)));
+  }
 };
 
 /// Renewal-process stochastic source: i.i.d. inter-arrival gaps drawn
@@ -118,6 +142,9 @@ class RenewalFaultSource final : public FaultSource {
  public:
   RenewalFaultSource(const FaultModel& model, const FaultEnvironment& env,
                      util::Xoshiro256& rng);
+  /// Same source; `model` and `env` must be valid and `env` unbursty.
+  RenewalFaultSource(const FaultModel& model, const FaultEnvironment& env,
+                     util::Xoshiro256& rng, Prevalidated);
   double next_fault_after(double from_exposure, int& processor) override;
 
  private:
@@ -142,6 +169,9 @@ class MmppFaultSource final : public FaultSource {
  public:
   MmppFaultSource(const FaultModel& model, const FaultEnvironment& env,
                   util::Xoshiro256& rng);
+  /// Same source; `model` and `env` must be valid and `env` bursty.
+  MmppFaultSource(const FaultModel& model, const FaultEnvironment& env,
+                  util::Xoshiro256& rng, Prevalidated);
   double next_fault_after(double from_exposure, int& processor) override;
 
  private:

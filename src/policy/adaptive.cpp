@@ -97,7 +97,10 @@ sim::Decision AdaptiveCheckpointPolicy::decide(
   // the vote-aware TMR variants — exact for 3 replicas, and the
   // documented approximation for wider NMR groups (the engine votes
   // there too, so the 2-of-3 renewal model is far closer than the
-  // every-fault-rolls-back DMR equations).
+  // every-fault-rolls-back DMR equations).  The searches run unchecked:
+  // the costs were validated with the setup, adaptive_interval has
+  // checked the rate and the remaining work, and every interval rule
+  // is positive, so itv > 0.
   const model::CheckpointCosts time_costs{ctx.costs->store / f,
                                           ctx.costs->compare / f,
                                           ctx.costs->rollback / f};
@@ -110,10 +113,10 @@ sim::Decision AdaptiveCheckpointPolicy::decide(
       int m = 1;
       if (tmr) {
         analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp_tmr(params);
+        m = analytic::num_scp_tmr_unchecked(params);
       } else {
         analytic::ScpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp(params);
+        m = analytic::num_scp_unchecked(params);
       }
       m = std::min(m, config_.max_inner);
       d.sub_interval = itv / static_cast<double>(m);
@@ -123,10 +126,10 @@ sim::Decision AdaptiveCheckpointPolicy::decide(
       int m = 1;
       if (tmr) {
         analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp_tmr(params);
+        m = analytic::num_ccp_tmr_unchecked(params);
       } else {
         analytic::CcpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp(params);
+        m = analytic::num_ccp_unchecked(params);
       }
       m = std::min(m, config_.max_inner);
       d.sub_interval = itv / static_cast<double>(m);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "util/rng.hpp"
 
@@ -15,11 +17,48 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 int popcount(unsigned mask) noexcept { return std::popcount(mask); }
 
-/// Mutable run state shared by the helpers below.
+/// One checkpoint operation at a bound speed.
+struct Overhead {
+  double cycles = 0.0;
+  double time = 0.0;  ///< cycles / f
+};
+
+/// A decision's speed level as the engine charges it, bound once when
+/// the decision first executes: the meter slot, V^2, and each
+/// checkpoint operation's duration at this frequency.
+struct BoundSpeed {
+  double frequency = 0.0;
+  double v2 = 0.0;       ///< energy per cycle, voltage * voltage
+  std::size_t slot = 0;  ///< EnergyMeter::slot(frequency)
+  Overhead store;        ///< t_s
+  Overhead compare;      ///< t_cp
+  Overhead cscp;         ///< t_s + t_cp
+  Overhead rollback;     ///< t_r
+};
+
+BoundSpeed bind_speed(const model::SpeedLevel& level,
+                      const model::CheckpointCosts& costs,
+                      model::EnergyMeter& meter) {
+  const double f = level.frequency;
+  const auto op = [f](double cycles) { return Overhead{cycles, cycles / f}; };
+  return {f, level.voltage * level.voltage, meter.slot(f), op(costs.store),
+          op(costs.compare), op(costs.cscp()), op(costs.rollback)};
+}
+
+[[noreturn]] void reject_replica(int processor, int processors) {
+  throw std::invalid_argument(
+      "engine: fault source named replica " + std::to_string(processor) +
+      " of a " + std::to_string(processors) + "-replica group");
+}
+
+/// Mutable run state shared by the helpers below, specialised on the
+/// fault source type so concrete sources are sampled without a virtual
+/// call.
+template <typename Source>
 struct EngineState {
   const SimSetup* setup = nullptr;
   const EngineConfig* config = nullptr;
-  model::FaultSource* faults = nullptr;
+  Source* faults = nullptr;
   RunResult* result = nullptr;
 
   double committed = 0.0;   ///< cycles banked at consistent checkpoints
@@ -58,6 +97,14 @@ struct EngineState {
     for (;;) {
       const double t = faults->next_fault_after(cursor, processor);
       if (!(t < window_end)) break;
+      if constexpr (std::is_same_v<Source, model::FaultSource>) {
+        // Stochastic sources draw below(processors); a replayed or
+        // external source may name a replica the group does not have.
+        if (processor != model::kAllReplicas &&
+            (processor < 0 || processor >= redundancy())) {
+          reject_replica(processor, redundancy());
+        }
+      }
       ++result->faults;
       if (config->record_trace) {
         // Both wall-clock time and the exposure coordinate (for replay).
@@ -75,29 +122,29 @@ struct EngineState {
     return mask;
   }
 
-  /// Executes a computation window of `duration` time at `level`.
+  /// Executes a computation window of `duration` time at `speed`.
   /// Returns the replica-fault mask for the window.
-  unsigned run_computation(const model::SpeedLevel& level, double duration,
+  unsigned run_computation(const BoundSpeed& speed, double duration,
                            int sub_index) {
     const unsigned mask = collect_faults(duration);
     now += duration;
-    result->meter.charge(level, duration * level.frequency);
-    trace(TraceEventKind::kSegment, duration * level.frequency, sub_index);
+    const double cycles = duration * speed.frequency;
+    result->meter.charge_slot(speed.slot, speed.v2, cycles);
+    trace(TraceEventKind::kSegment, cycles, sub_index);
     return mask;
   }
 
-  /// Executes a checkpoint/vote/rollback operation of `cycles` cycles.
+  /// Executes a checkpoint/vote/rollback operation `op` at `speed`.
   /// Faults strike during the operation only when
   /// faults_during_overhead is set.
-  unsigned run_overhead(const model::SpeedLevel& level, double cycles) {
-    if (cycles <= 0.0) return 0;
-    const double duration = cycles / level.frequency;
+  unsigned run_overhead(const BoundSpeed& speed, const Overhead& op) {
+    if (op.cycles <= 0.0) return 0;
     unsigned mask = 0;
     if (setup->fault_model.faults_during_overhead) {
-      mask = collect_faults(duration);
+      mask = collect_faults(op.time);
     }
-    now += duration;
-    result->meter.charge(level, cycles);
+    now += op.time;
+    result->meter.charge_slot(speed.slot, speed.v2, op.cycles);
     return mask;
   }
 };
@@ -146,10 +193,11 @@ enum class AttemptOutcome {
 /// comparison forces a rollback, to the last SCP that still has a
 /// healthy majority (SCP mode) or to the interval start (CCP/None
 /// mode).
-AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
-  const auto& level = decision.speed;
-  const auto& costs = st.setup->costs;
-  const double f = level.frequency;
+template <typename Source>
+AttemptOutcome execute_interval(EngineState<Source>& st,
+                                const Decision& decision,
+                                const BoundSpeed& speed) {
+  const double f = speed.frequency;
   const int n_rep = st.redundancy();
   const bool voting = n_rep >= 3;
 
@@ -185,7 +233,7 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
     --st.remaining_faults;
     st.trace(TraceEventKind::kCorrection, 0.0,
              static_cast<int>(corrupt.mask));
-    const unsigned repair_mask = st.run_overhead(level, costs.rollback);
+    const unsigned repair_mask = st.run_overhead(speed, speed.rollback);
     corrupt.clear();
     corrupt.note(op_mask | repair_mask, next_sub);
   };
@@ -197,7 +245,7 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
     const double w =
         i < n_subs ? itv_sub
                    : itv_outer - static_cast<double>(n_subs - 1) * itv_sub;
-    corrupt.note(st.run_computation(level, w, i), i);
+    corrupt.note(st.run_computation(speed, w, i), i);
 
     const bool is_last = i == n_subs;
     if (!is_last) {
@@ -206,17 +254,17 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
           // Store all replica states; no comparison, so no detection.
           // A fault during the store corrupts the stored snapshot:
           // attribute it to this sub-interval so rollback lands before.
-          const unsigned op_mask = st.run_overhead(level, costs.store);
+          const unsigned op_mask = st.run_overhead(speed, speed.store);
           ++st.result->checkpoints_scp;
-          st.trace(TraceEventKind::kCheckpoint, costs.store, 0);
+          st.trace(TraceEventKind::kCheckpoint, speed.store.cycles, 0);
           corrupt.note(op_mask, i);
           break;
         }
         case InnerKind::kCcp: {
           // Compare the running states: sees any corruption so far.
-          const unsigned op_mask = st.run_overhead(level, costs.compare);
+          const unsigned op_mask = st.run_overhead(speed, speed.compare);
           ++st.result->checkpoints_ccp;
-          st.trace(TraceEventKind::kCheckpoint, costs.compare, 1);
+          st.trace(TraceEventKind::kCheckpoint, speed.compare.cycles, 1);
           if (corrupt.corrupted()) {
             if (votable()) {
               // NMR: the healthy majority repairs the deviant minority;
@@ -229,7 +277,7 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
             // No majority: roll back to the interval-start CSCP.
             st.trace(TraceEventKind::kDetection);
             const unsigned rollback_mask =
-                st.run_overhead(level, costs.rollback);
+                st.run_overhead(speed, speed.rollback);
             ++st.result->detections;
             ++st.result->rollbacks;
             --st.remaining_faults;
@@ -256,8 +304,8 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
   // t_cp + t_s whether or not the comparison agrees (the paper's lumped
   // per-checkpoint cost c; its baseline results across the two cost
   // flavors confirm the full cost is paid on mismatch too).
-  const unsigned cscp_mask = st.run_overhead(level, costs.cscp());
-  st.trace(TraceEventKind::kCheckpoint, costs.cscp(), 2);
+  const unsigned cscp_mask = st.run_overhead(speed, speed.cscp);
+  st.trace(TraceEventKind::kCheckpoint, speed.cscp.cycles, 2);
 
   if (corrupt.corrupted() && votable()) {
     // NMR: repair the deviant minority and commit the interval.
@@ -274,7 +322,7 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
     ++st.result->detections;
     ++st.result->rollbacks;
     --st.remaining_faults;
-    const unsigned rollback_mask = st.run_overhead(level, costs.rollback);
+    const unsigned rollback_mask = st.run_overhead(speed, speed.rollback);
     if (decision.inner == InnerKind::kScp) {
       // Roll back to the most recent recoverable SCP: DMR needs stored
       // states that are identical (before the first fault); NMR only a
@@ -321,25 +369,15 @@ void validate_decision(const Decision& d) {
   }
 }
 
-}  // namespace
-
-void SimSetup::validate() const {
-  task.validate();
-  costs.validate();
-  if (!fault_model.valid()) {
-    throw std::invalid_argument(
-        "SimSetup: fault model needs rate >= 0 and 2..32 processors");
-  }
-  environment.validate();
-}
-
-RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
-                   model::FaultSource& fault_source,
-                   const EngineConfig& config) {
-  setup.validate();
+/// The engine loop, specialised on the fault source.  Runs unchecked:
+/// callers validate the setup (simulate, simulate_seeded) or have
+/// validated it once per cell (simulate_seeded_unchecked).
+template <typename Source>
+RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
+                     Source& fault_source, const EngineConfig& config) {
   RunResult result;
 
-  EngineState st;
+  EngineState<Source> st;
   st.setup = &setup;
   st.config = &config;
   st.faults = &fault_source;
@@ -366,11 +404,16 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
 
   refresh_ctx();
   Decision decision = policy.initial(ctx);
+  validate_decision(decision);
+  // Each decision is validated when the policy returns it and bound
+  // when it first executes, so a decision that ends the run (abort, or
+  // one returned at the deadline) never adds an empty meter slot.
+  BoundSpeed speed;
+  bool bound = false;
 
   const double work_eps = setup.task.cycles * 1e-12;
 
   for (;;) {
-    validate_decision(decision);
     if (st.remaining_cycles() <= work_eps) {
       result.outcome = st.now <= setup.task.deadline
                            ? RunOutcome::kCompleted
@@ -394,15 +437,19 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
       break;
     }
 
-    if (decision.speed.frequency != st.last_frequency) {
-      if (st.last_frequency != 0.0) {
-        ++result.speed_switches;
-        st.trace(TraceEventKind::kSpeedChange, decision.speed.frequency);
+    if (!bound) {
+      if (decision.speed.frequency != st.last_frequency) {
+        if (st.last_frequency != 0.0) {
+          ++result.speed_switches;
+          st.trace(TraceEventKind::kSpeedChange, decision.speed.frequency);
+        }
+        st.last_frequency = decision.speed.frequency;
       }
-      st.last_frequency = decision.speed.frequency;
+      speed = bind_speed(decision.speed, setup.costs, result.meter);
+      bound = true;
     }
 
-    const AttemptOutcome outcome = execute_interval(st, decision);
+    const AttemptOutcome outcome = execute_interval(st, decision, speed);
     refresh_ctx();
     if (st.remaining_cycles() <= work_eps) {
       continue;  // done — the loop top records the outcome
@@ -415,7 +462,11 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
       decision = policy.on_fault(ctx);
     } else if (auto replacement = policy.on_commit(ctx)) {
       decision = *replacement;
+    } else {
+      continue;  // the standing plan stays bound
     }
+    validate_decision(decision);
+    bound = false;
   }
 
   result.energy = result.meter.total();
@@ -424,22 +475,73 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
   return result;
 }
 
-RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
-                          std::uint64_t seed, const EngineConfig& config) {
-  // Stack-constructed sources keep the per-run hot path allocation-free
-  // (the same three-way dispatch as model::make_fault_source).
+/// An environment source (MMPP or renewal) for `setup`; unchecked, the
+/// caller has validated the setup.
+template <typename Source, bool kChecked>
+Source make_source(const SimSetup& setup, util::Xoshiro256& rng) {
+  if constexpr (kChecked) {
+    return Source(setup.fault_model, setup.environment, rng);
+  } else {
+    return Source(setup.fault_model, setup.environment, rng,
+                  model::kPrevalidated);
+  }
+}
+
+/// Builds the source matching setup.environment on the stack (the
+/// same three-way dispatch as model::make_fault_source, allocation
+/// free) and runs the engine specialised on it.  Checked, the source
+/// validates what it uses and then the whole setup is validated, the
+/// order simulate_seeded has always reported errors in.
+template <bool kChecked>
+RunResult run_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
+                     std::uint64_t seed, const EngineConfig& config) {
   util::Xoshiro256 rng(seed);
+  const auto run = [&](auto& source) {
+    if constexpr (kChecked) setup.validate();
+    return run_engine(setup, policy, source, config);
+  };
   const auto& env = setup.environment;
   if (env.plain_exponential()) {
     model::PoissonFaultSource source(setup.fault_model, rng);
-    return simulate(setup, policy, source, config);
+    return run(source);
   }
   if (env.burst.enabled) {
-    model::MmppFaultSource source(setup.fault_model, env, rng);
-    return simulate(setup, policy, source, config);
+    auto source = make_source<model::MmppFaultSource, kChecked>(setup, rng);
+    return run(source);
   }
-  model::RenewalFaultSource source(setup.fault_model, env, rng);
-  return simulate(setup, policy, source, config);
+  auto source = make_source<model::RenewalFaultSource, kChecked>(setup, rng);
+  return run(source);
+}
+
+}  // namespace
+
+void SimSetup::validate() const {
+  task.validate();
+  costs.validate();
+  if (!fault_model.valid()) {
+    throw std::invalid_argument(
+        "SimSetup: fault model needs rate >= 0 and 2..32 processors");
+  }
+  environment.validate();
+}
+
+RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
+                   model::FaultSource& fault_source,
+                   const EngineConfig& config) {
+  setup.validate();
+  return run_engine(setup, policy, fault_source, config);
+}
+
+RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
+                          std::uint64_t seed, const EngineConfig& config) {
+  return run_seeded<true>(setup, policy, seed, config);
+}
+
+RunResult simulate_seeded_unchecked(const SimSetup& setup,
+                                    ICheckpointPolicy& policy,
+                                    std::uint64_t seed,
+                                    const EngineConfig& config) {
+  return run_seeded<false>(setup, policy, seed, config);
 }
 
 }  // namespace adacheck::sim

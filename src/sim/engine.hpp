@@ -84,4 +84,12 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
                           std::uint64_t seed, const EngineConfig& config = {});
 
+/// simulate_seeded, bit for bit, without validating `setup`: for
+/// callers that validated it once for many runs (the Monte-Carlo sweep
+/// validates each cell before its first run).
+RunResult simulate_seeded_unchecked(const SimSetup& setup,
+                                    ICheckpointPolicy& policy,
+                                    std::uint64_t seed,
+                                    const EngineConfig& config);
+
 }  // namespace adacheck::sim

@@ -69,8 +69,9 @@ MetricSet run_chunk(const SimSetup& setup, const PolicyFactory& factory,
     // Reuse the chunk's policy instance when it can re-arm itself;
     // otherwise pay the factory allocation per run.
     if (!policy || !policy->reset()) policy = factory();
+    // The setup was validated once for the whole job (validate_job).
     const RunResult result =
-        simulate_seeded(setup, *policy, seed, engine_config);
+        simulate_seeded_unchecked(setup, *policy, seed, engine_config);
     const bool validation_failed =
         config.validate && !validate_all(setup, result).empty();
     metrics.observe({setup, result, base_freq, validation_failed});

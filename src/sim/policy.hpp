@@ -45,7 +45,9 @@ struct Decision {
 /// absolute wall-clock; work is in cycles (speed-independent).
 struct ExecContext {
   const model::TaskSpec* task = nullptr;
-  const model::CheckpointCosts* costs = nullptr;  ///< cycle units
+  /// Cycle units; valid (the engine validates them with the setup), so
+  /// policies plan with them unchecked.
+  const model::CheckpointCosts* costs = nullptr;
   const model::DvsProcessor* processor = nullptr;
   /// System-level fault rate (per exposure time): the environment's
   /// long-run effective rate — exact for exponential arrivals, the

@@ -4,6 +4,9 @@
 // that still holds a 2-of-3 majority.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/engine.hpp"
 #include "sim/validators.hpp"
 #include "tests/test_helpers.hpp"
@@ -42,6 +45,24 @@ TEST(EngineTmr, SingleFaultVotedAwayAtCscpNoWorkLost) {
   // No re-execution: 100 work + one CSCP (t_r = 0).
   EXPECT_NEAR(result.finish_time, 122.0, 1e-9);
   EXPECT_TRUE(validate_all(setup, result).empty());
+}
+
+TEST(EngineTmr, ReplayedReplicaOutsideTheGroupIsRejected) {
+  // Replica 5 does not exist in a 3-replica group; it must not be
+  // counted as a fourth replica (which reported faults=2
+  // corrections=2 for this trace).
+  const auto setup = tmr_setup(100.0, 10'000.0);
+  ScriptedPolicy policy(plain_plan(setup, 100.0));
+  try {
+    run_tmr(setup, policy, {{30.0, 2}, {60.0, 5}});
+    FAIL() << "replica 5 of a 3-replica group was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("replica 5"), std::string::npos)
+        << e.what();
+  }
+  // Replica 2 alone is a valid TMR replica and is voted away.
+  ScriptedPolicy valid(plain_plan(setup, 100.0));
+  EXPECT_EQ(run_tmr(setup, valid, {{30.0, 2}}).corrections, 1);
 }
 
 TEST(EngineTmr, SameFaultForcesRollbackUnderDmr) {

@@ -50,6 +50,17 @@ TEST(FaultTrace, ConstructorValidatesSorting) {
   EXPECT_THROW(FaultTrace({{2.0, 0}, {1.0, 1}}), std::invalid_argument);
 }
 
+TEST(FaultTrace, ConstructorValidatesReplicasLikeRecord) {
+  // Every event passes the same range check as record(): no replica
+  // index the engine's 32-bit fault masks cannot hold.
+  EXPECT_THROW(FaultTrace({{100.0, 40}}), std::invalid_argument);
+  EXPECT_THROW(FaultTrace({{1.0, 0}, {2.0, 32}}), std::invalid_argument);
+  EXPECT_THROW(FaultTrace({{1.0, -2}}), std::invalid_argument);
+  EXPECT_NO_THROW(FaultTrace({{1.0, 31}, {2.0, kAllReplicas}}));
+  FaultTrace recorded;
+  EXPECT_THROW(recorded.record(1.0, 40), std::invalid_argument);
+}
+
 TEST(FaultTrace, CountInWindow) {
   FaultTrace trace({{1.0, 0}, {2.0, 1}, {2.0, 0}, {5.0, 1}});
   EXPECT_EQ(trace.count_in(0.0, 10.0), 4u);

@@ -158,6 +158,7 @@ struct CellPin {
 struct RunPin {
   std::vector<std::pair<double, double>> breakdown;
   double cycles_executed = 0.0;
+  double energy = 0.0;
 };
 
 /// The pin literal matching `stats`, printed on mismatch.
@@ -177,7 +178,7 @@ std::string describe(const sim::RunResult& r) {
   for (const auto& [f, c] : r.meter.breakdown()) {
     os << "{" << f << ", " << c << "}, ";
   }
-  os << "}, " << r.cycles_executed << "}";
+  os << "}, " << r.cycles_executed << ", " << r.energy << "}";
   return os.str();
 }
 
@@ -185,6 +186,7 @@ void expect_run(const sim::RunResult& run, const RunPin& pin) {
   SCOPED_TRACE("actual run " + describe(run));
   EXPECT_EQ(run.meter.breakdown(), pin.breakdown);
   EXPECT_EQ(run.cycles_executed, pin.cycles_executed);
+  EXPECT_EQ(run.energy, pin.energy);
 }
 
 /// Runs `runs` runs of the cell, and one run at `seed` on its own.
@@ -271,7 +273,7 @@ TEST(SeedParity, MmppBurstyOrbitIsPinned) {
                  0x1.a19999999999cp+3, 0x0p+0, 0x1.6e42085396428p+12},
                 {{{0x1p+0, 0x1.952048939221ap+12},
                   {0x1p+1, 0x1.2edb1ef7c8048p+12}},
-                 0x1.61fdb3c5ad116p+13});
+                 0x1.61fdb3c5ad116p+13, 0x1.f96b43419113ap+15});
 }
 
 TEST(SeedParity, WeibullRenewalIsPinned) {
@@ -283,7 +285,7 @@ TEST(SeedParity, WeibullRenewalIsPinned) {
                  0x1.323d70a3d70a7p+3, 0x0p+0, 0x1.7e9d02c7479c8p+12},
                 {{{0x1p+0, 0x1.9c8d68d7a3a41p+12},
                   {0x1p+1, 0x1.2095fca832028p+12}},
-                 0x1.5e91b2bfead3cp+13});
+                 0x1.5e91b2bfead3cp+13, 0x1.eedcb11403d58p+15});
 }
 
 TEST(SeedParity, LogNormalRenewalIsPinned) {
@@ -295,7 +297,7 @@ TEST(SeedParity, LogNormalRenewalIsPinned) {
                  0x1.597e4b17e4b19p+3, 0x0p+0, 0x1.6cf8409b07ebap+12},
                 {{{0x1p+0, 0x1.e2bad86d70498p+12},
                   {0x1p+1, 0x1.dd3f8b4dfab1p+11}},
-                 0x1.68ad4f0a36d1p+13});
+                 0x1.68ad4f0a36d1p+13, 0x1.dffd31ddb57d6p+15});
 }
 
 TEST(SeedParity, GammaRenewalIsPinned) {
@@ -305,7 +307,8 @@ TEST(SeedParity, GammaRenewalIsPinned) {
                 {177, 0x1.2c2564cd51e27p+15, 0x1.31f6797350ef4p+15,
                  0x1.2c2564cd51e27p+13, 0x1.42c5f92c5f92dp+3,
                  0x1.4147ae147ae19p+3, 0x0p+0, 0x0p+0},
-                {{{0x1p+0, 0x1.2dcbf2df2c33dp+13}}, 0x1.2dcbf2df2c33dp+13});
+                {{{0x1p+0, 0x1.2dcbf2df2c33dp+13}},
+                 0x1.2dcbf2df2c33dp+13, 0x1.2dcbf2df2c33dp+15});
 }
 
 TEST(SeedParity, CommonCauseTmrIsPinned) {
@@ -318,7 +321,7 @@ TEST(SeedParity, CommonCauseTmrIsPinned) {
                  0x1.2b9b6063c48e8p+12},
                 {{{0x1p+0, 0x1.f193517fcbb58p+11},
                   {0x1p+1, 0x1.789ce56b40066p+12}},
-                 0x1.38b3471592f0dp+13});
+                 0x1.38b3471592f0dp+13, 0x1.f501b9cb32f47p+15});
 }
 
 TEST(SeedParity, FaultsDuringOverheadArePinned) {
@@ -329,7 +332,7 @@ TEST(SeedParity, FaultsDuringOverheadArePinned) {
                  0x1.e428f5c28f5c4p+3, 0x0p+0, 0x1.69877096dab3bp+12},
                 {{{0x1p+0, 0x1.c5895e2d7f492p+12},
                   {0x1p+1, 0x1.21b3c42b1d8ecp+12}},
-                 0x1.739e912c4e6c8p+13});
+                 0x1.739e912c4e6c8p+13, 0x1.023c39a0ee9a4p+16});
 }
 
 TEST(SeedParity, ThreeLevelDvsSwitchingSpeedIsPinned) {
@@ -342,7 +345,7 @@ TEST(SeedParity, ThreeLevelDvsSwitchingSpeedIsPinned) {
                  0x1.b66666666666ap+3, 0x0p+0, 0x1.fe2703db2c8e1p+12},
                 {{{0x1p+0, 0x1.6df3bc057a0e3p+10},
                   {0x1.8p+0, 0x1.2d628512d2cb7p+13}},
-                 0x1.5b20fc93820cfp+13});
+                 0x1.5b20fc93820cfp+13, 0x1.f1d23f1ceb729p+15});
   // The pinned run really switches speed.
   EXPECT_GT(sim::simulate_seeded(setup, *factory(), 107).speed_switches, 0);
 }
@@ -364,7 +367,7 @@ TEST(SeedParity, SevenLevelTableReachesTheMeterSpillAndIsPinned) {
                   {0x1.aaaaaaaaaaaaap+0, 0x1.6515555555556p+10},
                   {0x1.d555555555556p+0, 0x1.7c7fffffffffdp+10},
                   {0x1p+1, 0x1.1ap+10}},
-                 0x1.00d2aaaaaaaaap+13});
+                 0x1.00d2aaaaaaaaap+13, 0x1.8bfaaaaaaaaabp+15});
   // One run charges all seven frequencies: more than the inline slots.
   RotatingSpeedPolicy policy;
   EXPECT_EQ(sim::simulate_seeded(setup, policy, 108).meter.breakdown().size(),
@@ -380,7 +383,7 @@ TEST(SeedParity, FiveReplicaGroupIsPinned) {
                  0x1.0c65895ba10ebp+12},
                 {{{0x1p+0, 0x1.44baada361c4ep+12},
                   {0x1p+1, 0x1.0605525c9e3b3p+12}},
-                 0x1.256p+13});
+                 0x1.256p+13, 0x1.a862a92e4f1dap+15});
 }
 
 TEST(SeedParity, ReplayThroughSimulateIsPinned) {
@@ -395,7 +398,7 @@ TEST(SeedParity, ReplayThroughSimulateIsPinned) {
   const auto run = sim::simulate(setup, *policy, source);
   expect_run(run, {{{0x1p+0, 0x1.39294ffd8de2p+12},
                     {0x1p+1, 0x1.10b698bed8652p+12}},
-                   0x1.24eff45e3323ap+13});
+                   0x1.24eff45e3323ap+13, 0x1.ad4b40bd9f566p+15});
   EXPECT_EQ(run.faults, 5);
 }
 

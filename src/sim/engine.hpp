@@ -26,6 +26,18 @@
 //    replace the plan (paper recomputes only on faults).
 //  * The run ends at completion, at the deadline (failure), or when the
 //    policy aborts (Fig. 6 line 6).
+//
+// Performance: the engine loop is a template over the fault source.
+// simulate_seeded instantiates it with the concrete Poisson, MMPP or
+// renewal source, so sampling is not a virtual call; simulate with a
+// model::FaultSource& (replay, tests) is the type-erased instantiation,
+// and the only one that range-checks the replica a fault names.  Each
+// decision's speed level is bound once, when it first executes (meter
+// slot, V^2, overhead durations), and charged by slot index.
+//
+// Validation: simulate and simulate_seeded validate the setup on every
+// call.  The Monte-Carlo sweep validates each cell once, before its
+// first run, and then runs simulate_seeded_unchecked.
 #pragma once
 
 #include <utility>

@@ -475,44 +475,6 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
   return result;
 }
 
-/// An environment source (MMPP or renewal) for `setup`; unchecked, the
-/// caller has validated the setup.
-template <typename Source, bool kChecked>
-Source make_source(const SimSetup& setup, util::Xoshiro256& rng) {
-  if constexpr (kChecked) {
-    return Source(setup.fault_model, setup.environment, rng);
-  } else {
-    return Source(setup.fault_model, setup.environment, rng,
-                  model::kPrevalidated);
-  }
-}
-
-/// Builds the source matching setup.environment on the stack (the
-/// same three-way dispatch as model::make_fault_source, allocation
-/// free) and runs the engine specialised on it.  Checked, the source
-/// validates what it uses and then the whole setup is validated, the
-/// order simulate_seeded has always reported errors in.
-template <bool kChecked>
-RunResult run_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
-                     std::uint64_t seed, const EngineConfig& config) {
-  util::Xoshiro256 rng(seed);
-  const auto run = [&](auto& source) {
-    if constexpr (kChecked) setup.validate();
-    return run_engine(setup, policy, source, config);
-  };
-  const auto& env = setup.environment;
-  if (env.plain_exponential()) {
-    model::PoissonFaultSource source(setup.fault_model, rng);
-    return run(source);
-  }
-  if (env.burst.enabled) {
-    auto source = make_source<model::MmppFaultSource, kChecked>(setup, rng);
-    return run(source);
-  }
-  auto source = make_source<model::RenewalFaultSource, kChecked>(setup, rng);
-  return run(source);
-}
-
 }  // namespace
 
 void SimSetup::validate() const {
@@ -534,14 +496,36 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
 
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
                           std::uint64_t seed, const EngineConfig& config) {
-  return run_seeded<true>(setup, policy, seed, config);
+  // The checks the environment's fault source makes come first, then
+  // the whole setup's: the order simulate_seeded reports errors in.
+  if (!setup.fault_model.valid()) {
+    throw std::invalid_argument("FaultModel: invalid");
+  }
+  if (!setup.environment.plain_exponential()) setup.environment.validate();
+  setup.validate();
+  return simulate_seeded_unchecked(setup, policy, seed, config);
 }
 
 RunResult simulate_seeded_unchecked(const SimSetup& setup,
                                     ICheckpointPolicy& policy,
                                     std::uint64_t seed,
                                     const EngineConfig& config) {
-  return run_seeded<false>(setup, policy, seed, config);
+  // Stack-constructed sources keep the per-run hot path allocation-free
+  // (the same three-way dispatch as model::make_fault_source).
+  util::Xoshiro256 rng(seed);
+  const auto& env = setup.environment;
+  if (env.plain_exponential()) {
+    model::PoissonFaultSource source(setup.fault_model, rng);
+    return run_engine(setup, policy, source, config);
+  }
+  if (env.burst.enabled) {
+    model::MmppFaultSource source(setup.fault_model, env, rng,
+                                  model::kPrevalidated);
+    return run_engine(setup, policy, source, config);
+  }
+  model::RenewalFaultSource source(setup.fault_model, env, rng,
+                                   model::kPrevalidated);
+  return run_engine(setup, policy, source, config);
 }
 
 }  // namespace adacheck::sim

@@ -40,8 +40,9 @@ class EnergyMeter {
   void charge_slot(std::size_t slot, double v2, double cycles) noexcept {
     total_ += v2 * cycles;
     total_cycles_ += cycles;
-    (slot < kInlineLevels ? slots_[slot] : spill_[slot - kInlineLevels])
-        .cycles += cycles;
+    auto& entry =
+        slot < kInlineLevels ? slots_[slot] : spill_[slot - kInlineLevels];
+    entry.cycles += cycles;
   }
 
   double total() const noexcept { return total_; }

@@ -496,12 +496,12 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
 
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
                           std::uint64_t seed, const EngineConfig& config) {
-  // The checks the environment's fault source makes come first, then
-  // the whole setup's: the order simulate_seeded reports errors in.
+  // The checks the fault source makes come first, then the whole
+  // setup's: the order simulate_seeded reports errors in.
   if (!setup.fault_model.valid()) {
     throw std::invalid_argument("FaultModel: invalid");
   }
-  if (!setup.environment.plain_exponential()) setup.environment.validate();
+  setup.environment.validate();
   setup.validate();
   return simulate_seeded_unchecked(setup, policy, seed, config);
 }

@@ -246,8 +246,7 @@ class RotatingSpeedPolicy final : public sim::ICheckpointPolicy {
   sim::Decision on_fault(const sim::ExecContext& ctx) override {
     return plan(ctx);
   }
-  std::optional<sim::Decision> on_commit(
-      const sim::ExecContext& ctx) override {
+  std::optional<sim::Decision> on_commit(const sim::ExecContext& ctx) override {
     level_ = (level_ + 1) % ctx.processor->num_levels();
     return plan(ctx);
   }

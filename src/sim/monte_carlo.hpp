@@ -91,7 +91,8 @@ struct CellJob {
   MonteCarloConfig config;
   /// When set, runs chunks through this instead of the built-in
   /// engine loop; `setup`/`factory` are then ignored (and unvalidated).
-  ChunkRunner runner;
+  /// Optional, so `{setup, factory, config}` leaves it empty.
+  ChunkRunner runner = {};
 };
 
 /// Execution knobs for run_cells_ex beyond the job list itself.

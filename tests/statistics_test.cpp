@@ -156,7 +156,7 @@ TEST(Wilson95, MatchesClosedForm) {
 TEST(Wilson95, SymmetricUnderSuccessFailureSwap) {
   // The half-width for P(success) equals the half-width for P(miss),
   // so one budget target covers both readings of the interval.
-  for (const auto [s, n] : {std::pair<std::size_t, std::size_t>{3, 256},
+  for (const auto& [s, n] : {std::pair<std::size_t, std::size_t>{3, 256},
                             {200, 256},
                             {0, 100},
                             {97, 100}}) {

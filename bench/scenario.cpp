@@ -66,9 +66,12 @@ int main(int argc, char** argv) {
             << ", replicas=" << redundancy << "\n\n";
   util::TextTable table({"metric", "value"});
   table.add_row({"P(timely)", util::fmt_prob(stats.probability())});
-  table.add_row({"P 95% CI", "[" + util::fmt_prob(stats.completion.wilson_lo()) +
-                                 ", " + util::fmt_prob(stats.completion.wilson_hi()) +
-                                 "]"});
+  std::string ci = "[";
+  ci += util::fmt_prob(stats.completion.wilson_lo());
+  ci += ", ";
+  ci += util::fmt_prob(stats.completion.wilson_hi());
+  ci += "]";
+  table.add_row({"P 95% CI", ci});
   table.add_row({"E (successful runs)", util::fmt_energy(stats.energy())});
   table.add_row({"E (all runs)", util::fmt_energy(stats.energy_all.mean())});
   table.add_row({"finish time (mean, ok)",

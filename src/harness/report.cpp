@@ -15,6 +15,16 @@ using util::fmt_prob;
 using util::fmt_sci;
 
 bool has_paper(const ExperimentRow& row) { return !row.paper.empty(); }
+
+/// "[lo,hi]", built by appending to one string.
+std::string bracketed(const std::string& lo, const std::string& hi) {
+  std::string text = "[";
+  text += lo;
+  text += ',';
+  text += hi;
+  text += ']';
+  return text;
+}
 }  // namespace
 
 std::string render_experiment(const ExperimentResult& result) {
@@ -57,8 +67,8 @@ std::string render_extended(const ExperimentResult& result) {
       table.add_row(
           {fmt_fixed(row.utilization, 2), fmt_sci(row.lambda, 1),
            spec.schemes[s], fmt_prob(st.probability()),
-           "[" + fmt_prob(st.completion.wilson_lo()) + "," +
-               fmt_prob(st.completion.wilson_hi()) + "]",
+           bracketed(fmt_prob(st.completion.wilson_lo()),
+                     fmt_prob(st.completion.wilson_hi())),
            fmt_energy(st.energy()),
            fmt_energy(st.energy_success.ci95_halfwidth()),
            fmt_energy(st.energy_all.mean()), fmt_fixed(st.faults.mean(), 2),

@@ -50,7 +50,10 @@ std::string hash_file(const fs::path& path) {
 }
 
 std::string quoted(const fs::path& path) {
-  return "'" + path.string() + "'";
+  std::string text = "'";
+  text += path.string();
+  text += '\'';
+  return text;
 }
 
 /// Runs the driver in `dir`, so the relative cache path a campaign

@@ -1,6 +1,7 @@
 #include "policy/adaptive.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "analytic/dvs_estimate.hpp"
@@ -60,8 +61,7 @@ double AdaptiveCheckpointPolicy::planning_lambda(
   return (k0 + detections) / (k0 / ctx.lambda + ctx.exposure);
 }
 
-sim::Decision AdaptiveCheckpointPolicy::decide(
-    const sim::ExecContext& ctx) const {
+sim::Decision AdaptiveCheckpointPolicy::decide(const sim::ExecContext& ctx) {
   const double c_cycles = ctx.costs->cscp();
   const double lambda = planning_lambda(ctx);
   const auto& level =
@@ -104,39 +104,40 @@ sim::Decision AdaptiveCheckpointPolicy::decide(
   const model::CheckpointCosts time_costs{ctx.costs->store / f,
                                           ctx.costs->compare / f,
                                           ctx.costs->rollback / f};
-  const bool tmr = ctx.redundancy >= 3;
-  switch (config_.inner) {
-    case sim::InnerKind::kNone:
-      d.sub_interval = itv;
-      break;
-    case sim::InnerKind::kScp: {
-      int m = 1;
-      if (tmr) {
-        analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp_tmr_unchecked(params);
-      } else {
-        analytic::ScpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp_unchecked(params);
-      }
-      m = std::min(m, config_.max_inner);
-      d.sub_interval = itv / static_cast<double>(m);
-      break;
-    }
-    case sim::InnerKind::kCcp: {
-      int m = 1;
-      if (tmr) {
-        analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp_tmr_unchecked(params);
-      } else {
-        analytic::CcpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp_unchecked(params);
-      }
-      m = std::min(m, config_.max_inner);
-      d.sub_interval = itv / static_cast<double>(m);
-      break;
-    }
+  if (config_.inner == sim::InnerKind::kNone) {
+    d.sub_interval = itv;
+  } else {
+    const int m = std::min(
+        inner_count(itv, lambda, time_costs, ctx.redundancy >= 3),
+        config_.max_inner);
+    d.sub_interval = itv / static_cast<double>(m);
   }
   return d;
+}
+
+int AdaptiveCheckpointPolicy::inner_count(
+    double itv, double lambda, const model::CheckpointCosts& time_costs,
+    bool voting) {
+  const MSearchKey key{{std::bit_cast<std::uint64_t>(itv),
+                        std::bit_cast<std::uint64_t>(lambda),
+                        std::bit_cast<std::uint64_t>(time_costs.store),
+                        std::bit_cast<std::uint64_t>(time_costs.compare),
+                        std::bit_cast<std::uint64_t>(time_costs.rollback)},
+                       voting};
+  for (const auto& entry : recent_) {
+    if (entry.m != 0 && entry.key == key) return entry.m;
+  }
+  int m = 1;
+  if (config_.inner == sim::InnerKind::kScp) {
+    m = voting ? analytic::num_scp_tmr_unchecked({itv, lambda, time_costs})
+               : analytic::num_scp_unchecked({itv, lambda, time_costs});
+  } else {
+    m = voting ? analytic::num_ccp_tmr_unchecked({itv, lambda, time_costs})
+               : analytic::num_ccp_unchecked({itv, lambda, time_costs});
+  }
+  recent_[next_slot_] = {key, m};
+  next_slot_ = (next_slot_ + 1) % recent_.size();
+  return m;
 }
 
 sim::Decision AdaptiveCheckpointPolicy::initial(const sim::ExecContext& ctx) {

@@ -22,9 +22,24 @@
 //      model, sub-interval itv = Itv/m.
 // Recomputed at start and after every detected fault; optionally also
 // at every committed CSCP (ablation knob, off in the paper).
+//
+// Step 4 is memoised per instance.  A run re-plans after every fault,
+// mostly at a speed, interval and rate some earlier decision already
+// searched, so each instance remembers its last four m searches
+// (round-robin replacement).  The key is the exact bit pattern of every
+// search input: itv, the planning lambda, the time costs store/f,
+// compare/f and rollback/f, and the voting flag (redundancy >= 3).  The
+// value is the unclamped m, so max_inner still applies on a hit.  The
+// search is a pure function of that key, so a hit returns what
+// num_SCP/num_CCP would and no result byte changes.  The sweep keeps one
+// instance per chunk (reset() between runs), so the table needs no lock;
+// reset() keeps it, because an entry from an earlier run, or another
+// setup, is still the right answer for its key.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "sim/policy.hpp"
@@ -60,6 +75,7 @@ class AdaptiveCheckpointPolicy final : public sim::ICheckpointPolicy {
 
   std::string name() const override { return name_; }
   /// All per-run state lives in the ExecContext; instances are reusable.
+  /// The m-search memo is kept (see the file comment).
   bool reset() override { return true; }
   sim::Decision initial(const sim::ExecContext& ctx) override;
   sim::Decision on_fault(const sim::ExecContext& ctx) override;
@@ -82,10 +98,29 @@ class AdaptiveCheckpointPolicy final : public sim::ICheckpointPolicy {
   double planning_lambda(const sim::ExecContext& ctx) const;
 
  private:
-  sim::Decision decide(const sim::ExecContext& ctx) const;
+  /// Inputs of one m search as exact bit patterns: itv, the planning
+  /// lambda, then the store/compare/rollback time costs.
+  struct MSearchKey {
+    std::array<std::uint64_t, 5> bits{};
+    bool voting = false;  ///< searched the vote-aware (TMR) model
+    friend bool operator==(const MSearchKey&,
+                           const MSearchKey&) = default;
+  };
+  struct MSearch {
+    MSearchKey key;
+    int m = 0;  ///< unclamped search result; 0 marks an empty entry
+  };
+
+  sim::Decision decide(const sim::ExecContext& ctx);
+  /// m for sub-interval planning: a remembered search, else a fresh
+  /// num_{scp,ccp}[_tmr] search that replaces the oldest entry.
+  int inner_count(double itv, double lambda,
+                  const model::CheckpointCosts& time_costs, bool voting);
 
   AdaptiveConfig config_;
   std::string name_;
+  std::array<MSearch, 4> recent_{};
+  std::size_t next_slot_ = 0;  ///< round-robin replacement cursor
 };
 
 }  // namespace adacheck::policy

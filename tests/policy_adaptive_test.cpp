@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analytic/dvs_estimate.hpp"
 #include "analytic/interval_policy.hpp"
@@ -279,6 +280,176 @@ TEST(AdaptivePolicy, EstimatorWithZeroNominalRateUsesPureObservation) {
   auto ctx = make_context(setup, 5'000.0, 2'000.0, 5);
   ctx.faults_detected = 4;
   EXPECT_DOUBLE_EQ(policy.planning_lambda(ctx), 4.0 / 2'000.0);
+}
+
+// The m-search memo (see adaptive.hpp): a reused instance must decide
+// exactly what a fresh instance decides for the same context, whatever
+// it searched before.
+
+void expect_same_decision(const sim::Decision& reused,
+                          const sim::Decision& fresh) {
+  EXPECT_EQ(reused.speed.frequency, fresh.speed.frequency);
+  EXPECT_EQ(reused.speed.voltage, fresh.speed.voltage);
+  EXPECT_EQ(reused.cscp_interval, fresh.cscp_interval);
+  EXPECT_EQ(reused.sub_interval, fresh.sub_interval);
+  EXPECT_EQ(reused.inner, fresh.inner);
+  EXPECT_EQ(reused.abort, fresh.abort);
+}
+
+/// Decides `ctx` on `reused` and on a fresh instance of its config,
+/// requires the two to agree field for field, and returns the decision.
+sim::Decision decide_both(AdaptiveCheckpointPolicy& reused,
+                          const sim::ExecContext& ctx) {
+  AdaptiveCheckpointPolicy fresh(reused.config());
+  const auto decision = reused.on_fault(ctx);
+  expect_same_decision(decision, fresh.on_fault(ctx));
+  return decision;
+}
+
+/// A_D_S, A_D_C and their rate-tracking variants.
+std::vector<AdaptiveConfig> memo_configs() {
+  return {AdaptiveCheckpointPolicy::adapchp_dvs_scp(),
+          AdaptiveCheckpointPolicy::adapchp_dvs_ccp(),
+          AdaptiveCheckpointPolicy::with_estimator(
+              AdaptiveCheckpointPolicy::adapchp_dvs_scp()),
+          AdaptiveCheckpointPolicy::with_estimator(
+              AdaptiveCheckpointPolicy::adapchp_dvs_ccp())};
+}
+
+/// The DVS fixture with the cost flavor matching the config's inner kind.
+sim::SimSetup memo_setup(const AdaptiveConfig& config, double lambda) {
+  auto setup = testutil::dvs_setup(7'600.0, 10'000.0, 5, lambda);
+  if (config.inner == sim::InnerKind::kCcp) {
+    setup.costs = model::CheckpointCosts::paper_ccp_flavor();
+  }
+  return setup;
+}
+
+/// The inner count m a decision planned.
+long inner_count_of(const sim::Decision& d) {
+  return std::lround(d.cscp_interval / d.sub_interval);
+}
+
+TEST(AdaptivePolicyMemo, RepeatedAndVariedContextsMatchAFreshInstance) {
+  for (const auto& config : memo_configs()) {
+    for (int redundancy : {2, 3}) {
+      SCOPED_TRACE(AdaptiveCheckpointPolicy(config).name() + " x" +
+                   std::to_string(redundancy));
+      const auto setup = memo_setup(config, 1.4e-3);
+      // 1000 time units before the deadline, Fig. 4's interval does not
+      // depend on the rate, so neighbours A-B differ only in lambda,
+      // B-C only in itv, and C-D in the speed.  E and F are the entry
+      // and a mid-run state of the paper fixture.  The -est variants
+      // observe as many detections as the nominal rate predicts, so
+      // they plan at about the nominal rates.
+      const auto late = [&](double cycles, double lambda) {
+        auto ctx = make_context(setup, cycles, 9'000.0, 5);
+        ctx.lambda = lambda;
+        ctx.faults_detected = static_cast<int>(lambda * 9'000.0);
+        ctx.redundancy = redundancy;
+        return ctx;
+      };
+      const auto early = [&](double cycles, double now) {
+        auto ctx = make_context(setup, cycles, now, 5);
+        ctx.redundancy = redundancy;
+        return ctx;
+      };
+      const std::vector<sim::ExecContext> contexts = {
+          late(400.0, 2e-2),  late(400.0, 5e-2),
+          late(200.0, 5e-2),  late(200.0, 2e-2),
+          early(7'600.0, 0.0), early(4'000.0, 2'000.0)};
+      std::vector<sim::Decision> fresh;
+      for (const auto& ctx : contexts) {
+        fresh.push_back(AdaptiveCheckpointPolicy(config).on_fault(ctx));
+        ASSERT_FALSE(fresh.back().abort);
+      }
+      // The sequence varies what it claims to, and each change moves m.
+      EXPECT_EQ(fresh[0].speed.frequency, fresh[1].speed.frequency);
+      EXPECT_EQ(fresh[0].cscp_interval, fresh[1].cscp_interval);
+      EXPECT_NE(inner_count_of(fresh[0]), inner_count_of(fresh[1]));
+      EXPECT_EQ(fresh[1].speed.frequency, fresh[2].speed.frequency);
+      EXPECT_NE(fresh[1].cscp_interval, fresh[2].cscp_interval);
+      EXPECT_NE(inner_count_of(fresh[1]), inner_count_of(fresh[2]));
+      EXPECT_NE(fresh[2].speed.frequency, fresh[3].speed.frequency);
+
+      // Every context in turn, then revisits of some still held and of
+      // some already evicted; reset() between passes keeps the table.
+      AdaptiveCheckpointPolicy reused(config);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i : {0, 1, 2, 3, 4, 5, 1, 0, 2, 1, 3, 5, 4, 0, 2,
+                              2, 5, 0, 1}) {
+          decide_both(reused, contexts[i]);
+        }
+        EXPECT_TRUE(reused.reset());
+      }
+    }
+  }
+}
+
+TEST(AdaptivePolicyMemo, SetupsDifferingOnlyInRollbackMatchAFreshInstance) {
+  for (const auto& config : memo_configs()) {
+    for (int redundancy : {2, 3}) {
+      SCOPED_TRACE(AdaptiveCheckpointPolicy(config).name() + " x" +
+                   std::to_string(redundancy));
+      const auto cheap = memo_setup(config, 5e-3);
+      auto dear = cheap;
+      dear.costs.rollback = 400.0;
+      auto cheap_ctx = make_context(cheap, 7'600.0, 0.0, 5);
+      auto dear_ctx = make_context(dear, 7'600.0, 0.0, 5);
+      cheap_ctx.redundancy = dear_ctx.redundancy = redundancy;
+      AdaptiveCheckpointPolicy reused(config);
+      for (int i = 0; i < 4; ++i) {
+        const auto a = decide_both(reused, cheap_ctx);
+        const auto b = decide_both(reused, dear_ctx);
+        // Same speed and itv: only the rollback cost tells the searches
+        // apart, and it changes m, except in the DMR CCP model, whose
+        // rollback term does not depend on m.
+        EXPECT_EQ(a.cscp_interval, b.cscp_interval);
+        if (config.inner == sim::InnerKind::kScp || redundancy == 3) {
+          EXPECT_NE(a.sub_interval, b.sub_interval);
+        }
+      }
+    }
+  }
+}
+
+TEST(AdaptivePolicyMemo, SameItvAtRedundancyTwoAndThreeMatchAFreshInstance) {
+  for (const auto& config : memo_configs()) {
+    SCOPED_TRACE(AdaptiveCheckpointPolicy(config).name());
+    const auto setup = memo_setup(config, 2e-3);
+    auto dmr = make_context(setup, 7'600.0, 0.0, 5);
+    auto tmr = dmr;
+    tmr.redundancy = 3;
+    AdaptiveCheckpointPolicy reused(config);
+    for (int i = 0; i < 4; ++i) {
+      const auto a = decide_both(reused, dmr);
+      const auto b = decide_both(reused, tmr);
+      // Same itv: only the voting flag tells the searches apart, and
+      // the vote-aware model plans a different m.
+      EXPECT_EQ(a.cscp_interval, b.cscp_interval);
+      EXPECT_NE(a.sub_interval, b.sub_interval);
+    }
+  }
+}
+
+TEST(AdaptivePolicyMemo, MaxInnerStillCapsARememberedM) {
+  for (auto config : memo_configs()) {
+    SCOPED_TRACE(AdaptiveCheckpointPolicy(config).name());
+    const auto setup = memo_setup(config, 2e-2);
+    const auto ctx = make_context(setup, 7'600.0, 0.0, 5);
+    // The uncapped search plans more than two sub-intervals ...
+    const auto uncapped = AdaptiveCheckpointPolicy(config).on_fault(ctx);
+    ASSERT_FALSE(uncapped.abort);
+    ASSERT_LT(uncapped.sub_interval, uncapped.cscp_interval / 2.0);
+    // ... so every call with the cap, the remembered ones included,
+    // must clamp to exactly two.
+    config.max_inner = 2;
+    AdaptiveCheckpointPolicy reused(config);
+    for (int i = 0; i < 3; ++i) {
+      const auto d = decide_both(reused, ctx);
+      EXPECT_EQ(d.sub_interval, d.cscp_interval / 2.0);
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The golden corpus: "same bytes" as a ctest target.
 //
 // Runs every runnable shipped scenario (scenarios/*.json with schema
-// adacheck-scenario-v1) through the adacheck driver at --runs=256 and
+// adacheck-scenario-v1) through adacheck at --runs=256 and
 // --no-perf, at --threads 1 and 4, plus one campaign_smoke cold run and
 // its warm replay.  The content_hash128 of every report, every JSONL
 // stream and every cache file, and the cache file names, must equal the
@@ -56,14 +56,14 @@ std::string quoted(const fs::path& path) {
   return text;
 }
 
-/// Runs the driver in `dir`, so the relative cache path a campaign
+/// Runs adacheck in `dir`, so the relative cache path a campaign
 /// report records is the same on every machine.
-void run_driver(const fs::path& dir, const std::string& args) {
+void run_adacheck(const fs::path& dir, const std::string& args) {
   const std::string command = "cd " + quoted(dir) + " && " +
                               quoted(ADACHECK_BIN) + " " + args +
                               " --quiet --no-perf";
   if (std::system(command.c_str()) != 0) {
-    throw std::runtime_error("driver failed: " + command);
+    throw std::runtime_error("adacheck failed: " + command);
   }
 }
 
@@ -89,9 +89,10 @@ Manifest compute_manifest(const fs::path& work) {
     const std::string name = scenario.stem().string();
     for (int threads : {1, 4}) {
       const std::string base = name + ".t" + std::to_string(threads);
-      run_driver(runs, "run " + quoted(scenario) + " --runs=256 --threads=" +
-                           std::to_string(threads) + " --out=" + base +
-                           ".json --jsonl=" + base + ".jsonl");
+      run_adacheck(runs, "run " + quoted(scenario) +
+                             " --runs=256 --threads=" +
+                             std::to_string(threads) + " --out=" + base +
+                             ".json --jsonl=" + base + ".jsonl");
       for (const char* ext : {".json", ".jsonl"}) {
         manifest["run/" + base + ext] = hash_file(runs / (base + ext));
       }
@@ -102,9 +103,9 @@ Manifest compute_manifest(const fs::path& work) {
   fs::create_directories(campaign);
   const fs::path spec = fs::path(ADACHECK_SCENARIO_DIR) / "campaign_smoke.json";
   for (const char* pass : {"cold", "warm"}) {
-    run_driver(campaign, "campaign " + quoted(spec) +
-                             " --cache=cache --out=" + pass +
-                             ".json --jsonl=" + pass + ".jsonl");
+    run_adacheck(campaign, "campaign " + quoted(spec) +
+                               " --cache=cache --out=" + pass +
+                               ".json --jsonl=" + pass + ".jsonl");
     for (const char* ext : {".json", ".jsonl"}) {
       const std::string file = std::string(pass) + ext;
       manifest["campaign/" + file] = hash_file(campaign / file);
@@ -153,7 +154,8 @@ TEST(GoldenCorpus, EveryOutputByteMatchesTheCommittedManifest) {
   const fs::path written = work / (compiler + ".txt");
   std::ofstream(written, std::ios::binary) << format_manifest(actual);
 
-  const fs::path committed = fs::path(ADACHECK_GOLDEN_DIR) / (compiler + ".txt");
+  const fs::path committed =
+      fs::path(ADACHECK_GOLDEN_DIR) / (compiler + ".txt");
   const std::string bless =
       "tools/bless_golden.sh " + fs::path(ADACHECK_BIN).parent_path().string();
   if (!fs::exists(committed)) {

@@ -124,71 +124,6 @@ void write_sweep_json(const SweepResult& sweep, std::ostream& os,
     json.kv("runs_per_second", sweep.perf.runs_per_second);
     json.kv("threads", sweep.perf.threads);
     json.kv("cells", sweep.perf.cells);
-    if (options.baseline != nullptr) {
-      const PerfBaseline& baseline = *options.baseline;
-      json.key("observer_overhead");
-      json.begin_object();
-      json.kv("advisory", true);
-      json.kv("baseline_path", baseline.path);
-      json.kv("baseline_runs_per_second", baseline.runs_per_second);
-      json.kv("null_observer_runs_per_second",
-              baseline.null_runs_per_second);
-      json.kv("null_vs_baseline_ratio",
-              baseline.runs_per_second > 0.0
-                  ? baseline.null_runs_per_second / baseline.runs_per_second
-                  : 0.0);
-      json.kv("observer_runs_per_second",
-              baseline.observer_runs_per_second);
-      const double observer_ratio =
-          baseline.null_runs_per_second > 0.0
-              ? baseline.observer_runs_per_second /
-                    baseline.null_runs_per_second
-              : 0.0;
-      json.kv("observer_vs_null_ratio", observer_ratio);
-      json.kv("within_tolerance",
-              observer_ratio >= PerfBaseline::kMinObserverRatio);
-      json.end_object();
-    }
-    if (options.precision != nullptr) {
-      const PrecisionBench& bench = *options.precision;
-      json.key("time_to_target_precision");
-      json.begin_object();
-      json.kv("target_p_halfwidth", bench.target_p_halfwidth);
-      json.kv("fixed_runs", bench.fixed_runs);
-      json.kv("fixed_wall_seconds", bench.fixed_wall_seconds);
-      json.kv("fixed_p_halfwidth", bench.fixed_p_halfwidth);
-      json.kv("budgeted_runs", bench.budgeted_runs);
-      json.kv("budgeted_wall_seconds", bench.budgeted_wall_seconds);
-      json.kv("budgeted_p_halfwidth", bench.budgeted_p_halfwidth);
-      json.kv("runs_ratio",
-              bench.budgeted_runs > 0
-                  ? static_cast<double>(bench.fixed_runs) /
-                        static_cast<double>(bench.budgeted_runs)
-                  : 0.0);
-      json.kv("wall_ratio",
-              bench.budgeted_wall_seconds > 0.0
-                  ? bench.fixed_wall_seconds / bench.budgeted_wall_seconds
-                  : 0.0);
-      json.end_object();
-    }
-    if (options.telemetry != nullptr) {
-      const TelemetryBench& bench = *options.telemetry;
-      json.key("telemetry_overhead");
-      json.begin_object();
-      json.kv("advisory", true);
-      json.kv("disabled_runs_per_second", bench.disabled_runs_per_second);
-      json.kv("enabled_runs_per_second", bench.enabled_runs_per_second);
-      const double ratio =
-          bench.disabled_runs_per_second > 0.0
-              ? bench.enabled_runs_per_second /
-                    bench.disabled_runs_per_second
-              : 0.0;
-      json.kv("enabled_vs_disabled_ratio", ratio);
-      json.kv("events_recorded", bench.events_recorded);
-      json.kv("within_tolerance",
-              ratio >= TelemetryBench::kMinTelemetryRatio);
-      json.end_object();
-    }
     json.end_object();
   }
 

@@ -31,9 +31,7 @@ ScenarioConfig parse_config(const Value& v, const std::string& path) {
   if (const Value* runs = v.find("runs")) {
     const auto value = as_int(*runs, member_path(path, "runs"));
     if (value < 1) fail(member_path(path, "runs"), "must be >= 1");
-    if (value > 1'000'000'000) {
-      fail(member_path(path, "runs"), "must be <= 1e9");
-    }
+    if (value > kMaxRuns) fail(member_path(path, "runs"), "must be <= 1e9");
     config.runs = static_cast<int>(value);
   }
   if (const Value* seed = v.find("seed")) {
@@ -506,7 +504,7 @@ sim::RunBudget parse_budget(const util::json::Value& v,
     const std::string cap_path = member_path(path, key);
     const auto value = as_int(*cap, cap_path);
     if (value < 1) fail(cap_path, "must be >= 1");
-    if (value > 1'000'000'000) fail(cap_path, "must be <= 1e9");
+    if (value > kMaxRuns) fail(cap_path, "must be <= 1e9");
     return static_cast<int>(value);
   };
   budget.min_runs = parse_cap("min_runs");

@@ -95,6 +95,10 @@ class ScenarioError : public std::runtime_error {
   std::string path_;
 };
 
+/// Upper bound on every run count the schema accepts ("runs",
+/// "min_runs", "max_runs"); the lower bound is 1.
+inline constexpr int kMaxRuns = 1'000'000'000;
+
 /// Monte-Carlo budget and seed knobs (the "config" object).
 struct ScenarioConfig {
   int runs = 10'000;

@@ -115,17 +115,4 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
                               *v + "'");
 }
 
-std::vector<std::string> split_csv(const std::string& value) {
-  std::vector<std::string> items;
-  std::string::size_type begin = 0;
-  while (begin <= value.size()) {
-    const auto end = value.find(',', begin);
-    const auto stop = end == std::string::npos ? value.size() : end;
-    if (stop > begin) items.push_back(value.substr(begin, stop - begin));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return items;
-}
-
 }  // namespace adacheck::util

@@ -57,8 +57,4 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// Splits a comma-separated flag value ("a,b,c") into its non-empty
-/// items — the list form used by --tables / --envs style flags.
-std::vector<std::string> split_csv(const std::string& value);
-
 }  // namespace adacheck::util

@@ -375,17 +375,47 @@ TEST(BudgetedRun, ObserverSeesEachCellOnceAndFinalProgressSettles) {
 
 // --- harness lowering ----------------------------------------------------
 
-TEST(BudgetedRun, ExperimentSpecBudgetLowersToEveryCell) {
+/// One high-P paper cell (U=0.5, lambda=1e-4, SCP costs, k=5, D=10000,
+/// f2/f1=2) as a one-cell experiment running `scheme`.
+harness::ExperimentSpec paper_cell_spec(const std::string& scheme) {
   harness::ExperimentSpec spec;
-  spec.id = "budgettest";
-  spec.title = "budget lowering";
+  spec.id = "budget";
+  spec.title = "one paper cell";
   spec.costs = model::CheckpointCosts::paper_scp_flavor();
   spec.deadline = 10'000.0;
   spec.fault_tolerance = 5;
   spec.speed_ratio = 2.0;
   spec.util_level = 0;
-  spec.schemes = {"Poisson"};
+  spec.schemes = {scheme};
   spec.rows = {{0.5, 1.0e-4, {}}};
+  return spec;
+}
+
+TEST(BudgetedRun, TimeToTargetPrecisionProbe) {
+  // A_D_S at a fixed 10,000 runs vs a budget targeting a 0.01 Wilson
+  // half-width on P: the budget meets the target in at least 5x fewer
+  // runs, and stops at the same count on 1 and 4 threads.
+  MonteCarloConfig fixed;
+  fixed.runs = 10'000;
+  fixed.seed = 0x5EED5EED;
+  const auto jobs = harness::experiment_jobs(paper_cell_spec("A_D_S"), fixed);
+  ASSERT_EQ(jobs.size(), 1u);
+  const auto& job = jobs[0];
+  std::vector<std::size_t> budgeted_runs;
+  for (int threads : {1, 4}) {
+    MonteCarloConfig budgeted = job.config;
+    budgeted.threads = threads;
+    budgeted.budget.target_p_halfwidth = 0.01;
+    const auto stats = run_cell(job.setup, job.factory, budgeted);
+    EXPECT_LE(stats.completion.wilson_halfwidth(), 0.01) << threads;
+    EXPECT_LE(5 * stats.completion.trials(), 10'000u) << threads;
+    budgeted_runs.push_back(stats.completion.trials());
+  }
+  EXPECT_EQ(budgeted_runs[0], budgeted_runs[1]);
+}
+
+TEST(BudgetedRun, ExperimentSpecBudgetLowersToEveryCell) {
+  auto spec = paper_cell_spec("Poisson");
   spec.budget.target_p_halfwidth = 0.02;
 
   MonteCarloConfig config;
@@ -404,16 +434,7 @@ TEST(BudgetedRun, ExperimentSpecBudgetLowersToEveryCell) {
 }
 
 TEST(BudgetedRun, SweepReportCarriesBudgetAndAchievedPrecision) {
-  harness::ExperimentSpec spec;
-  spec.id = "budgetreport";
-  spec.title = "budget report";
-  spec.costs = model::CheckpointCosts::paper_scp_flavor();
-  spec.deadline = 10'000.0;
-  spec.fault_tolerance = 5;
-  spec.speed_ratio = 2.0;
-  spec.util_level = 0;
-  spec.schemes = {"Poisson"};
-  spec.rows = {{0.5, 1.0e-4, {}}};
+  auto spec = paper_cell_spec("Poisson");
   spec.budget.target_p_halfwidth = 0.02;
 
   MonteCarloConfig config;

@@ -1,0 +1,62 @@
+// adacheck run's run-count flags (--runs, --min-runs, --max-runs) follow
+// the scenario schema's range rule, [1, 1e9].  The check runs on the
+// parsed 64-bit value, so a value that would wrap when narrowed to int
+// (2^32 + 1 becomes 1) is rejected instead of silently planned.  The
+// test drives the adacheck binary with --dry-run: nothing simulates.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <string>
+
+namespace adacheck {
+namespace {
+
+/// Runs `adacheck run smoke.json <flags> --dry-run` and expects exit
+/// code `exit_code` with `message` somewhere in stdout or stderr.
+void expect_run(const std::string& flags, int exit_code,
+                const std::string& message) {
+  const std::string command = std::string("'") + ADACHECK_BIN + "' run '" +
+                              ADACHECK_SCENARIO_DIR + "/smoke.json' " +
+                              flags + " --dry-run 2>&1";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << command;
+  std::string output;
+  std::array<char, 512> buffer;
+  std::size_t n = 0;
+  while ((n = std::fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
+    output.append(buffer.data(), n);
+  }
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), exit_code) << flags << "\n" << output;
+  EXPECT_NE(output.find(message), std::string::npos) << flags << "\n"
+                                                     << output;
+}
+
+TEST(RunFlags, RunCountsOutsideTheSchemaRangeAreRejected) {
+  // 2^32 + 1 narrows to 1 and 2^32 + 256 to 256; 1e9 + 1 is past the
+  // schema cap.
+  expect_run("--runs=4294967297", 2, "--runs must be in [1, 1e9]");
+  expect_run("--runs=1000000001", 2, "--runs must be in [1, 1e9]");
+  expect_run("--runs=0", 2, "--runs must be in [1, 1e9]");
+  expect_run("--budget=0.02 --max-runs=4294967552", 2,
+             "--max-runs must be in [1, 1e9]");
+  expect_run("--budget=0.02 --max-runs=1000000001", 2,
+             "--max-runs must be in [1, 1e9]");
+  expect_run("--budget=0.02 --min-runs=4294967552", 2,
+             "--min-runs must be in [1, 1e9]");
+  expect_run("--budget=0.02 --min-runs=0", 2,
+             "--min-runs must be in [1, 1e9]");
+}
+
+TEST(RunFlags, TheRangeEndsAreAccepted) {
+  expect_run("--runs=1", 0, "cells x 1 runs");
+  expect_run("--runs=1000000000", 0, "cells x 1000000000 runs");
+  expect_run("--budget=0.02 --min-runs=1 --max-runs=1000000000", 0,
+             "[1, 1000000000] runs (budgeted)");
+}
+
+}  // namespace
+}  // namespace adacheck

@@ -99,6 +99,22 @@ std::ostream& status_stream(bool quiet, const std::string& out_path) {
   return out_path == "-" ? std::cerr : std::cout;
 }
 
+/// Overrides `value` with run-count flag `name` when it is given,
+/// under the schema's range rule [1, 1e9].  The range is checked on
+/// the parsed 64-bit value, before it is narrowed to int.  Returns
+/// false, after saying why, on an out-of-range value.
+bool run_count_flag(const util::CliArgs& args, const char* name,
+                    int& value) {
+  if (!args.has(name)) return true;
+  const std::int64_t given = args.get_int(name, value);
+  if (given < 1 || given > scenario::kMaxRuns) {
+    std::cerr << "--" << name << " must be in [1, 1e9]\n";
+    return false;
+  }
+  value = static_cast<int>(given);
+  return true;
+}
+
 // --- telemetry plumbing (shared by run, campaign, serve) -----------------
 
 /// The two obs output flags; appended to each batch verb's table.
@@ -194,12 +210,7 @@ int cmd_run(const util::CliArgs& args) {
 
   // Flags override the scenario's config block, under the same range
   // rules the schema enforces.
-  scenario.config.runs =
-      static_cast<int>(args.get_int("runs", scenario.config.runs));
-  if (scenario.config.runs < 1) {
-    std::cerr << "--runs must be >= 1\n";
-    return 2;
-  }
+  if (!run_count_flag(args, "runs", scenario.config.runs)) return 2;
   const std::int64_t seed =
       args.get_int("seed", static_cast<std::int64_t>(scenario.config.seed));
   if (seed < 0) {
@@ -224,10 +235,10 @@ int cmd_run(const util::CliArgs& args) {
       args.get_double("budget", scenario.budget.target_p_halfwidth);
   scenario.budget.target_e_rel_halfwidth =
       args.get_double("budget-e", scenario.budget.target_e_rel_halfwidth);
-  scenario.budget.min_runs = static_cast<int>(
-      args.get_int("min-runs", scenario.budget.min_runs));
-  scenario.budget.max_runs = static_cast<int>(
-      args.get_int("max-runs", scenario.budget.max_runs));
+  if (!run_count_flag(args, "min-runs", scenario.budget.min_runs) ||
+      !run_count_flag(args, "max-runs", scenario.budget.max_runs)) {
+    return 2;
+  }
   try {
     scenario.budget.validate();
   } catch (const std::exception& e) {

@@ -88,7 +88,8 @@ class FaultTrace {
 /// Source of "time until the next fault on either processor" samples.
 /// The stochastic implementation draws exponentials; the replay
 /// implementation walks a FaultTrace.  `exposure` elapses only while
-/// the pair is vulnerable (the engine controls what counts).
+/// the pair is vulnerable (the engine controls what counts).  Queries
+/// need not be idempotent: the engine makes each one once.
 class FaultSource {
  public:
   virtual ~FaultSource() = default;

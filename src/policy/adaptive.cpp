@@ -155,12 +155,9 @@ std::optional<sim::Decision> AdaptiveCheckpointPolicy::on_commit(
   // Even without re-planning, the while-loop guard of Figs. 3/6/7 runs
   // every iteration: break with failure when the remaining work cannot
   // fit the remaining deadline at the fastest speed.
-  const double best_f = ctx.processor->fastest().frequency;
-  if (ctx.remaining_cycles / best_f > ctx.remaining_deadline()) {
-    sim::Decision d;
-    d.speed = ctx.processor->fastest();
-    d.abort = true;
-    return d;
+  if (sim::deadline_guard_fires(ctx.remaining_cycles,
+                                ctx.remaining_deadline(), *ctx.processor)) {
+    return sim::deadline_guard_abort(*ctx.processor);
   }
   return std::nullopt;
 }

@@ -80,6 +80,11 @@ class AdaptiveCheckpointPolicy final : public sim::ICheckpointPolicy {
   sim::Decision initial(const sim::ExecContext& ctx) override;
   sim::Decision on_fault(const sim::ExecContext& ctx) override;
   std::optional<sim::Decision> on_commit(const sim::ExecContext& ctx) override;
+  /// kDeadlineGuard, or kCustom under recompute_at_commit.
+  sim::CommitRule commit_rule() const override {
+    return config_.recompute_at_commit ? sim::CommitRule::kCustom
+                                       : sim::CommitRule::kDeadlineGuard;
+  }
 
   const AdaptiveConfig& config() const noexcept { return config_; }
 

@@ -25,6 +25,9 @@ class PoissonArrivalPolicy final : public sim::ICheckpointPolicy {
   }
   sim::Decision initial(const sim::ExecContext& ctx) override;
   sim::Decision on_fault(const sim::ExecContext& ctx) override;
+  sim::CommitRule commit_rule() const override {
+    return sim::CommitRule::kKeep;
+  }
 
  private:
   std::size_t level_;
@@ -44,6 +47,9 @@ class KFaultTolerantPolicy final : public sim::ICheckpointPolicy {
   }
   sim::Decision initial(const sim::ExecContext& ctx) override;
   sim::Decision on_fault(const sim::ExecContext& ctx) override;
+  sim::CommitRule commit_rule() const override {
+    return sim::CommitRule::kKeep;
+  }
 
  private:
   std::size_t level_;

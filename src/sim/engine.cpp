@@ -86,17 +86,31 @@ struct EngineState {
     }
   }
 
+  /// One fault-source answer: the next fault at or after a cursor.
+  struct FaultQuery {
+    double time = kInf;  ///< exposure coordinate; +inf for none
+    int processor = 0;
+  };
+
+  /// Asks the source once.  Each answer is used where it was asked
+  /// for: sources need not answer a repeated query the same way.
+  FaultQuery next_fault(double from_exposure) {
+    FaultQuery q;
+    q.time = faults->next_fault_after(from_exposure, q.processor);
+    return q;
+  }
+
   /// Collects faults on the exposure window [exposure, exposure+span)
-  /// and returns the bitmask of replicas struck.  A common-cause
-  /// arrival (processor == model::kAllReplicas) strikes every replica.
-  unsigned collect_faults(double span) {
+  /// and returns the bitmask of replicas struck.  `first` is the
+  /// source's answer for the window start; later queries continue just
+  /// past each fault.  A common-cause arrival (processor ==
+  /// model::kAllReplicas) strikes every replica.
+  unsigned collect_faults(double span, FaultQuery first) {
     unsigned mask = 0;
     const double window_end = exposure + span;
-    double cursor = exposure;
-    int processor = 0;
-    for (;;) {
-      const double t = faults->next_fault_after(cursor, processor);
-      if (!(t < window_end)) break;
+    for (FaultQuery q = first; q.time < window_end;
+         q = next_fault(std::nextafter(q.time, kInf))) {
+      const int processor = q.processor;
       if constexpr (std::is_same_v<Source, model::FaultSource>) {
         // Stochastic sources draw below(processors); a replayed or
         // external source may name a replica the group does not have.
@@ -108,25 +122,25 @@ struct EngineState {
       ++result->faults;
       if (config->record_trace) {
         // Both wall-clock time and the exposure coordinate (for replay).
-        result->trace.push(TraceEventKind::kFault, now + (t - exposure), t,
-                           processor);
+        result->trace.push(TraceEventKind::kFault, now + (q.time - exposure),
+                           q.time, processor);
       }
       // ~0u >> (32 - n) rather than (1u << n) - 1: n may be the full
       // mask width (kMaxProcessors == 32), where the left shift is UB.
       mask |= processor == model::kAllReplicas
                   ? ~0u >> (32 - redundancy())
                   : 1u << processor;
-      cursor = std::nextafter(t, kInf);
     }
     exposure = window_end;
     return mask;
   }
 
-  /// Executes a computation window of `duration` time at `speed`.
+  /// Executes a computation window of `duration` time at `speed`,
+  /// starting from `first`, the source's answer for its start.
   /// Returns the replica-fault mask for the window.
   unsigned run_computation(const BoundSpeed& speed, double duration,
-                           int sub_index) {
-    const unsigned mask = collect_faults(duration);
+                           int sub_index, FaultQuery first) {
+    const unsigned mask = collect_faults(duration, first);
     now += duration;
     const double cycles = duration * speed.frequency;
     result->meter.charge_slot(speed.slot, speed.v2, cycles);
@@ -141,7 +155,7 @@ struct EngineState {
     if (op.cycles <= 0.0) return 0;
     unsigned mask = 0;
     if (setup->fault_model.faults_during_overhead) {
-      mask = collect_faults(op.time);
+      mask = collect_faults(op.time, next_fault(exposure));
     }
     now += op.time;
     result->meter.charge_slot(speed.slot, speed.v2, op.cycles);
@@ -211,6 +225,29 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
   if (!(itv_outer > 0.0) || !(itv_sub > 0.0)) {
     throw std::invalid_argument("engine: non-positive checkpoint interval");
   }
+  // The first window's step and fault query, shared by both paths.
+  st.bump_steps();
+  auto query = st.next_fault(st.exposure);
+
+  // Clean-attempt branch: a plain CSCP interval with nothing carried
+  // in, untraced, whose one window has no fault, commits here with the
+  // general path's floating-point operations in the same order (its
+  // window is itv_outer, and no fault can strike the CSCP).  Any other
+  // attempt continues below from the answer already fetched.
+  const double window_end = st.exposure + itv_outer;
+  if (decision.inner == InnerKind::kNone && st.carry_mask == 0 &&
+      !st.config->record_trace &&
+      !st.setup->fault_model.faults_during_overhead &&
+      !(query.time < window_end)) {
+    st.exposure = window_end;
+    st.now += itv_outer;
+    st.result->meter.charge_slot(speed.slot, speed.v2, itv_outer * f);
+    st.run_overhead(speed, speed.cscp);  // no overhead faults: no query
+    ++st.result->checkpoints_cscp;
+    st.committed += itv_outer * f;
+    return AttemptOutcome::kCommitted;
+  }
+
   // Number of sub-intervals, preserving the planned sub length (the
   // paper inserts checkpoints by length); the last one may be shorter.
   const double n_real = itv_outer / itv_sub;
@@ -241,11 +278,14 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
   bool voted_this_interval = false;
 
   for (int i = 1; i <= n_subs; ++i) {
-    st.bump_steps();
+    if (i > 1) {
+      st.bump_steps();
+      query = st.next_fault(st.exposure);
+    }
     const double w =
         i < n_subs ? itv_sub
                    : itv_outer - static_cast<double>(n_subs - 1) * itv_sub;
-    corrupt.note(st.run_computation(speed, w, i), i);
+    corrupt.note(st.run_computation(speed, w, i, query), i);
 
     const bool is_last = i == n_subs;
     if (!is_last) {
@@ -404,6 +444,9 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
 
   refresh_ctx();
   Decision decision = policy.initial(ctx);
+  // After a clean commit the engine applies kKeep and kDeadlineGuard
+  // itself, so the context is refreshed only before a hook runs.
+  const CommitRule commit_rule = policy.commit_rule();
   validate_decision(decision);
   // Each decision is validated when the policy returns it and bound
   // when it first executes, so a decision that ends the run (abort, or
@@ -450,7 +493,6 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
     }
 
     const AttemptOutcome outcome = execute_interval(st, decision, speed);
-    refresh_ctx();
     if (st.remaining_cycles() <= work_eps) {
       continue;  // done — the loop top records the outcome
     }
@@ -459,11 +501,22 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
       // Both consume fault budget; the policy re-plans (Fig. 3/6/7
       // "else" branch).  For a voted commit nothing was lost, but the
       // remaining budget changed, so the plan may too.
+      refresh_ctx();
       decision = policy.on_fault(ctx);
-    } else if (auto replacement = policy.on_commit(ctx)) {
-      decision = *replacement;
-    } else {
+    } else if (commit_rule == CommitRule::kKeep) {
       continue;  // the standing plan stays bound
+    } else if (commit_rule == CommitRule::kDeadlineGuard) {
+      if (!deadline_guard_fires(st.remaining_cycles(),
+                                setup.task.deadline - st.now,
+                                setup.processor)) {
+        continue;
+      }
+      decision = deadline_guard_abort(setup.processor);
+    } else {
+      refresh_ctx();
+      auto replacement = policy.on_commit(ctx);
+      if (!replacement) continue;
+      decision = *replacement;
     }
     validate_decision(decision);
     bound = false;

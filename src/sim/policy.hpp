@@ -10,6 +10,16 @@
 // before the first interval (line 1-4), after every fault detection
 // (the else branch), and after every committed CSCP (where the
 // pseudocode only updates Rt/Rd, so most policies keep their plan).
+//
+// What happens after a committed CSCP is usually known for the whole
+// run, so a policy states it once as data (commit_rule()): keep the
+// plan, or check the figures' deadline guard, which the engine then
+// evaluates inline without a hook call.  Only kCustom policies are
+// asked through on_commit.
+//
+// The engine asks its model::FaultSource each query once: a query's
+// answer is used where it was asked for and never fetched again,
+// because a source need not answer a repeated query the same way.
 #pragma once
 
 #include <optional>
@@ -71,6 +81,34 @@ struct ExecContext {
   }
 };
 
+/// What the engine does after a committed CSCP that leaves work to do,
+/// read once per run from ICheckpointPolicy::commit_rule().
+enum class CommitRule {
+  kCustom,         ///< call on_commit and follow its answer
+  kKeep,           ///< keep the standing plan; on_commit is a no-op
+  kDeadlineGuard,  ///< keep it unless deadline_guard_fires, then abort
+                   ///< with deadline_guard_abort
+};
+
+/// The while-loop guard of Figs. 3/6/7, checked after every committed
+/// CSCP: true when the remaining work R_c cannot fit the remaining
+/// deadline R_d even at the fastest speed, so the run breaks with
+/// failure.  The one home of the test, for the engine and the policies.
+inline bool deadline_guard_fires(double remaining_cycles,
+                                 double remaining_deadline,
+                                 const model::DvsProcessor& processor) {
+  return remaining_cycles / processor.fastest().frequency >
+         remaining_deadline;
+}
+
+/// The plan a firing deadline guard returns: abort, at the fastest level.
+inline Decision deadline_guard_abort(const model::DvsProcessor& processor) {
+  Decision d;
+  d.speed = processor.fastest();
+  d.abort = true;
+  return d;
+}
+
 class ICheckpointPolicy {
  public:
   virtual ~ICheckpointPolicy() = default;
@@ -93,13 +131,23 @@ class ICheckpointPolicy {
   /// intervals here; fixed schemes return their standing plan.
   virtual Decision on_fault(const ExecContext& ctx) = 0;
 
-  /// Called after every committed CSCP.  Return a new plan to replace
-  /// the current one, or nullopt to keep it (the default — the paper's
+  /// Called after every committed CSCP that leaves work to do, when
+  /// commit_rule() is kCustom.  Return a new plan to replace the
+  /// current one, or nullopt to keep it (the default — the paper's
   /// procedures only recompute on faults).
   virtual std::optional<Decision> on_commit(const ExecContext& ctx) {
     (void)ctx;
     return std::nullopt;
   }
+
+  /// How the engine treats a committed CSCP, read once per run.
+  /// kCustom, the default, calls on_commit as documented above.  A
+  /// policy may return kKeep only if its on_commit always returns
+  /// nullopt, and kDeadlineGuard only if its on_commit is exactly
+  /// deadline_guard_fires / deadline_guard_abort on the context; the
+  /// engine then skips the call, and the context refresh it needs, and
+  /// gets the same run.
+  virtual CommitRule commit_rule() const { return CommitRule::kCustom; }
 };
 
 }  // namespace adacheck::sim

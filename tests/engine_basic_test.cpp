@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "policy/adaptive.hpp"
 #include "sim/engine.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -144,6 +148,96 @@ TEST(EngineBasic, StepLimitGuardsDegeneratePlans) {
   model::FaultTrace trace;
   model::ReplayFaultSource source(trace);
   EXPECT_THROW(simulate(setup, policy, source, config), std::runtime_error);
+}
+
+TEST(EngineBasic, StepLimitGuardsCleanPlainAttempts) {
+  // A fault-free plain-CSCP plan, untraced: every attempt takes the
+  // clean-attempt branch, which counts its step like the general path.
+  const auto setup = basic_setup(1'000.0, 1e9);
+  ScriptedPolicy policy(plain_plan(setup, 0.01));
+  EngineConfig config;
+  config.max_steps = 1'000;  // 10^5 attempts would exceed this
+  model::FaultTrace trace;
+  model::ReplayFaultSource source(trace);
+  try {
+    simulate(setup, policy, source, config);
+    FAIL() << "expected the step limit to stop the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("step limit exceeded"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Forwards to an adaptive policy and counts the commit hook.
+class CountingAdaptive final : public ICheckpointPolicy {
+ public:
+  explicit CountingAdaptive(policy::AdaptiveConfig config)
+      : inner_(config) {}
+  std::string name() const override { return inner_.name(); }
+  Decision initial(const ExecContext& ctx) override {
+    return inner_.initial(ctx);
+  }
+  Decision on_fault(const ExecContext& ctx) override {
+    return inner_.on_fault(ctx);
+  }
+  std::optional<Decision> on_commit(const ExecContext& ctx) override {
+    ++commit_calls;
+    return inner_.on_commit(ctx);
+  }
+  CommitRule commit_rule() const override { return inner_.commit_rule(); }
+
+  int commit_calls = 0;
+
+ private:
+  policy::AdaptiveCheckpointPolicy inner_;
+};
+
+TEST(EngineBasic, RecomputeAtCommitAsksAfterEveryCleanCommit) {
+  auto config = policy::AdaptiveCheckpointPolicy::adt_dvs();
+  config.recompute_at_commit = true;
+  CountingAdaptive policy(config);
+  EXPECT_EQ(policy.commit_rule(), CommitRule::kCustom);
+  const auto setup = dvs_setup(2'000.0, 10'000.0, 5, 1e-3);
+  const auto result = run_with_faults(setup, policy, {}, false);
+  EXPECT_EQ(result.outcome, RunOutcome::kCompleted);
+  ASSERT_GT(result.checkpoints_cscp, 1);
+  // Every commit but the last leaves work to do.
+  EXPECT_EQ(policy.commit_calls, result.checkpoints_cscp - 1);
+
+  // Without the knob the engine applies the deadline guard itself.
+  CountingAdaptive guarded(policy::AdaptiveCheckpointPolicy::adt_dvs());
+  EXPECT_EQ(guarded.commit_rule(), CommitRule::kDeadlineGuard);
+  const auto kept = run_with_faults(setup, guarded, {}, false);
+  EXPECT_EQ(kept.outcome, RunOutcome::kCompleted);
+  ASSERT_GT(kept.checkpoints_cscp, 1);
+  EXPECT_EQ(guarded.commit_calls, 0);
+}
+
+TEST(EngineBasic, DeadlineGuardAbortsAlikeTracedAndUntraced) {
+  // N = 1000 cycles at f2 = 2 needs 500 time units plus 11 per CSCP;
+  // with D = 530 and no fault, A_D commits three intervals, after which
+  // the remaining work no longer fits R_d even at f2: the while-loop
+  // guard (evaluated by the engine, since A_D's commit rule is
+  // kDeadlineGuard) aborts the run.
+  const auto setup = dvs_setup(1'000.0, 530.0, 5, 1e-3);
+  policy::AdaptiveCheckpointPolicy traced_policy(
+      policy::AdaptiveCheckpointPolicy::adt_dvs());
+  policy::AdaptiveCheckpointPolicy untraced_policy(
+      policy::AdaptiveCheckpointPolicy::adt_dvs());
+  const auto traced = run_with_faults(setup, traced_policy, {}, true);
+  const auto untraced = run_with_faults(setup, untraced_policy, {}, false);
+  EXPECT_EQ(traced.outcome, RunOutcome::kAborted);
+  EXPECT_EQ(untraced.outcome, RunOutcome::kAborted);
+  EXPECT_GT(untraced.checkpoints_cscp, 0);  // aborted after a commit
+  EXPECT_EQ(traced.checkpoints_cscp, untraced.checkpoints_cscp);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(traced.finish_time),
+            std::bit_cast<std::uint64_t>(untraced.finish_time));
+  // The abort follows a commit directly: the guard, not a re-plan.
+  const auto& events = traced.trace.events();
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events[events.size() - 1].kind, TraceEventKind::kAbort);
+  EXPECT_EQ(events[events.size() - 2].kind, TraceEventKind::kCommit);
 }
 
 TEST(EngineBasic, RejectsInvalidDecisions) {

@@ -14,6 +14,9 @@
 // schema bump, say) and is recorded in CHANGES.md with its reason.  A
 // compiler with no committed manifest skips the comparison and prints
 // the bless command.
+//
+// A second test pins that --validate, which keeps the engine on its
+// traced general path, streams the same JSONL as a plain run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -183,6 +186,33 @@ TEST(GoldenCorpus, EveryOutputByteMatchesTheCommittedManifest) {
     std::cerr << "golden corpus differs from " << committed.string()
               << "; if the output change is deliberate, run: " << bless
               << "\nand record the reason in CHANGES.md.\n";
+  }
+}
+
+TEST(GoldenCorpus, ValidatedRunsStreamTheSameJsonl) {
+  // --validate records a trace for every run, and tracing keeps the
+  // engine on its general path: no clean-attempt branch, and a policy
+  // hook after every commit.  The JSONL (which, unlike the report,
+  // does not echo the validate flag) must not change.
+  const fs::path work = fs::path(ADACHECK_GOLDEN_WORK) / "validate";
+  fs::remove_all(work);
+  fs::create_directories(work);
+  for (const char* name : {"paper_tables", "environments"}) {
+    const fs::path scenario =
+        fs::path(ADACHECK_SCENARIO_DIR) / (std::string(name) + ".json");
+    const std::string base = std::string(name) + ".t4";
+    for (const char* mode : {"plain", "validated"}) {
+      std::string args = "run " + quoted(scenario) +
+                         " --runs=256 --threads=4 --out=" + base + "." +
+                         mode + ".json --jsonl=" + base + "." + mode +
+                         ".jsonl";
+      if (std::string(mode) == "validated") args += " --validate";
+      run_adacheck(work, args);
+    }
+    const std::string plain = read_file(work / (base + ".plain.jsonl"));
+    EXPECT_FALSE(plain.empty()) << name;
+    EXPECT_TRUE(plain == read_file(work / (base + ".validated.jsonl")))
+        << name << ": JSONL differs with --validate";
   }
 }
 

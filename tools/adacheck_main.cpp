@@ -498,8 +498,10 @@ int cmd_campaign(const util::CliArgs& args) {
     std::cerr << "--fresh and --resume are mutually exclusive\n";
     return 2;
   }
-  const std::int64_t threads = args.get_int("threads", -1);
-  if (threads < -1 || threads > 4096) {
+  // -1 stands for "not given": each cell keeps its scenario's threads.
+  const std::int64_t threads =
+      args.has("threads") ? args.get_int("threads", 0) : -1;
+  if (args.has("threads") && (threads < 0 || threads > 4096)) {
     std::cerr << "--threads must be in [0, 4096]\n";
     return 2;
   }

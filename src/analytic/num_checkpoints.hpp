@@ -13,7 +13,7 @@
 // num_scp_fig2 / num_ccp_fig2 are the paper's Fig. 2 procedure: find the
 // continuous minimizer T1~ over (0, T] by golden-section search, then
 // round m = T/T1~ to the better of floor/ceil.  Its cost lands within
-// 0.1% of the exact optimum; bench/ablation_m prints the two side by side.
+// 0.1% of the exact optimum; examples/ablation_m prints the two side by side.
 //
 // num_scp_exhaustive / num_ccp_exhaustive run the same scan over the
 // public, validating scp_expected_time / ccp_expected_time: the

@@ -236,6 +236,7 @@ std::string fingerprint_document(
     for (const auto& name : resolved.metrics) json.value(name);
     json.end_array();
   }
+  const harness::ExperimentSpec defaults;
   json.key("experiments");
   json.begin_array();
   for (const auto& spec : experiments) {
@@ -253,6 +254,18 @@ std::string fingerprint_document(
     json.kv("speed_ratio", spec.speed_ratio);
     json.kv("voltage_kappa", spec.voltage.kappa);
     json.kv("util_level", spec.util_level);
+    // Written only off their defaults, so every fingerprint (and cache
+    // file name) of a spec that leaves them alone stays what it was
+    // before these knobs existed.
+    if (spec.processors != defaults.processors) {
+      json.kv("processors", spec.processors);
+    }
+    if (spec.faults_during_overhead != defaults.faults_during_overhead) {
+      json.kv("faults_during_overhead", spec.faults_during_overhead);
+    }
+    if (spec.recompute_at_commit != defaults.recompute_at_commit) {
+      json.kv("recompute_at_commit", spec.recompute_at_commit);
+    }
     if (spec.budget.enabled()) {
       json.key("budget");
       write_budget(json, spec.budget);

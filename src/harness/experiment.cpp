@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "model/fault.hpp"
 #include "model/fault_env.hpp"
 #include "model/task.hpp"
 #include "policy/factory.hpp"
@@ -20,6 +21,10 @@ void ExperimentSpec::validate() const {
     throw std::invalid_argument("ExperimentSpec: speed_ratio <= 1");
   if (util_level > 1)
     throw std::invalid_argument("ExperimentSpec: util_level must be 0 or 1");
+  if (processors < 2 || processors > model::kMaxProcessors) {
+    throw std::invalid_argument(
+        "ExperimentSpec: processors outside [2, kMaxProcessors]");
+  }
   if (!model::is_known_environment(environment))
     throw std::invalid_argument("ExperimentSpec: unknown environment \"" +
                                 environment + "\"");
@@ -45,7 +50,9 @@ sim::SimSetup make_setup(const ExperimentSpec& spec,
   sim::SimSetup setup{
       model::task_from_utilization(row.utilization, util_freq, spec.deadline,
                                    spec.fault_tolerance, spec.id),
-      spec.costs, std::move(processor), model::FaultModel{row.lambda, false},
+      spec.costs, std::move(processor),
+      model::FaultModel{row.lambda, spec.faults_during_overhead,
+                        spec.processors},
       model::find_environment(spec.environment)};
   return setup;
 }
@@ -91,7 +98,8 @@ std::vector<sim::CellJob> experiment_jobs(
       if (spec.budget.enabled()) cell_config.budget = spec.budget;
       jobs.push_back(
           {setup,
-           policy::make_policy_factory(spec.schemes[s], spec.util_level),
+           policy::make_policy_factory(spec.schemes[s], spec.util_level,
+                                       spec.recompute_at_commit),
            cell_config});
     }
   }

@@ -42,6 +42,15 @@ struct ExperimentSpec {
   /// model/fault_env.hpp); the default "poisson" reproduces the paper
   /// bit-for-bit.
   std::string environment = "poisson";
+  /// Replicas sharing the fault process: 2 = the paper's DMR, 3 = TMR
+  /// (single faults are voted away), up to model::kMaxProcessors.
+  int processors = 2;
+  /// Faults may also strike during checkpoint and rollback overhead
+  /// (off in the paper, which exposes only computation windows).
+  bool faults_during_overhead = false;
+  /// Adaptive schemes also re-plan at every committed CSCP (off in the
+  /// paper, which re-plans only after faults).
+  bool recompute_at_commit = false;
   /// Per-experiment precision budget; when enabled it overrides the
   /// sweep config's budget for every cell of this spec (sequential
   /// stopping instead of the config's fixed run count — see

@@ -16,14 +16,9 @@ using util::fmt_sci;
 
 bool has_paper(const ExperimentRow& row) { return !row.paper.empty(); }
 
-/// "[lo,hi]", built by appending to one string.
-std::string bracketed(const std::string& lo, const std::string& hi) {
-  std::string text = "[";
-  text += lo;
-  text += ',';
-  text += hi;
-  text += ']';
-  return text;
+std::size_t scheme_index(const ExperimentSpec& spec, const std::string& name) {
+  const auto it = std::find(spec.schemes.begin(), spec.schemes.end(), name);
+  return static_cast<std::size_t>(it - spec.schemes.begin());
 }
 }  // namespace
 
@@ -54,70 +49,6 @@ std::string render_experiment(const ExperimentResult& result) {
   out << spec.title << "\n" << table;
   return out.str();
 }
-
-std::string render_extended(const ExperimentResult& result) {
-  const auto& spec = result.spec;
-  util::TextTable table({"U", "lambda", "scheme", "P", "P 95% CI", "E",
-                         "E +-95%", "E(all)", "faults", "rollbacks",
-                         "hi-cycles", "aborted"});
-  for (std::size_t r = 0; r < spec.rows.size(); ++r) {
-    const auto& row = spec.rows[r];
-    for (std::size_t s = 0; s < spec.schemes.size(); ++s) {
-      const auto& st = result.cells[r][s];
-      table.add_row(
-          {fmt_fixed(row.utilization, 2), fmt_sci(row.lambda, 1),
-           spec.schemes[s], fmt_prob(st.probability()),
-           bracketed(fmt_prob(st.completion.wilson_lo()),
-                     fmt_prob(st.completion.wilson_hi())),
-           fmt_energy(st.energy()),
-           fmt_energy(st.energy_success.ci95_halfwidth()),
-           fmt_energy(st.energy_all.mean()), fmt_fixed(st.faults.mean(), 2),
-           fmt_fixed(st.rollbacks.mean(), 2),
-           fmt_energy(st.high_speed_cycles.mean()),
-           std::to_string(st.aborted_runs)});
-    }
-    if (r + 1 < spec.rows.size()) table.add_rule();
-  }
-  std::ostringstream out;
-  out << spec.title << " [extended]\n" << table;
-  return out.str();
-}
-
-void write_csv(const ExperimentResult& result, std::ostream& os) {
-  util::CsvWriter csv(os);
-  csv.write_row({"table", "utilization", "lambda", "scheme", "paper_p",
-                 "paper_e", "p", "p_lo", "p_hi", "e_success", "e_all",
-                 "faults_mean", "rollbacks_mean", "high_speed_cycles"});
-  const auto& spec = result.spec;
-  for (std::size_t r = 0; r < spec.rows.size(); ++r) {
-    const auto& row = spec.rows[r];
-    for (std::size_t s = 0; s < spec.schemes.size(); ++s) {
-      const auto& st = result.cells[r][s];
-      const double paper_p = has_paper(row) ? row.paper[s].p : std::nan("");
-      const double paper_e = has_paper(row) ? row.paper[s].e : std::nan("");
-      csv.write_row({spec.id, fmt_fixed(row.utilization, 4),
-                     fmt_sci(row.lambda, 6), spec.schemes[s],
-                     fmt_prob(paper_p), fmt_energy(paper_e),
-                     fmt_prob(st.probability()),
-                     fmt_prob(st.completion.wilson_lo()),
-                     fmt_prob(st.completion.wilson_hi()),
-                     fmt_energy(st.energy()),
-                     fmt_energy(st.energy_all.mean()),
-                     fmt_fixed(st.faults.mean(), 3),
-                     fmt_fixed(st.rollbacks.mean(), 3),
-                     fmt_energy(st.high_speed_cycles.mean())});
-    }
-  }
-}
-
-namespace {
-
-std::size_t scheme_index(const ExperimentSpec& spec, const std::string& name) {
-  const auto it = std::find(spec.schemes.begin(), spec.schemes.end(), name);
-  return static_cast<std::size_t>(it - spec.schemes.begin());
-}
-
-}  // namespace
 
 std::vector<ShapeCheck> shape_checks(const ExperimentResult& result) {
   std::vector<ShapeCheck> checks;

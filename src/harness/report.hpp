@@ -6,7 +6,6 @@
 // expected to match a reimplementation, the ordering is (DESIGN.md §4).
 #pragma once
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,12 +16,6 @@ namespace adacheck::harness {
 /// Paper-vs-measured table, one row per (U, lambda) point with P and E
 /// for every scheme.
 std::string render_experiment(const ExperimentResult& result);
-
-/// Extended statistics (CIs, fault/rollback/high-speed-cycle means).
-std::string render_extended(const ExperimentResult& result);
-
-/// Writes a machine-readable CSV (one line per cell).
-void write_csv(const ExperimentResult& result, std::ostream& os);
 
 /// One qualitative expectation evaluated against measured data.
 struct ShapeCheck {

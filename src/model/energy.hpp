@@ -3,7 +3,7 @@
 // The paper measures energy by "summing the product of the square of
 // the voltage and the number of computation cycles over all the
 // segments of the task".  EnergyMeter implements exactly that, keeping
-// a per-speed breakdown so benches can report how much work ran at the
+// a per-speed breakdown so reports can say how much work ran at the
 // high speed.  We account one processor of the DMR pair (both execute
 // the same cycles; a doubled figure is a constant factor).
 //

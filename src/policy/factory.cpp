@@ -7,60 +7,52 @@
 
 namespace adacheck::policy {
 
+namespace {
+
+/// The adaptive configuration a scheme name selects; throws for names
+/// that are neither adaptive nor a fixed-interval baseline.
+AdaptiveConfig adaptive_config(const std::string& name,
+                               std::size_t baseline_level) {
+  using P = AdaptiveCheckpointPolicy;
+  if (name == "A_D") return P::adt_dvs();
+  if (name == "A_D_S") return P::adapchp_dvs_scp();
+  if (name == "A_D_C") return P::adapchp_dvs_ccp();
+  if (name == "adapchp-SCP" || name == "adapchp-CCP") {
+    auto config = name == "adapchp-SCP" ? P::adapchp_scp() : P::adapchp_ccp();
+    config.fixed_level = baseline_level;
+    return config;
+  }
+  // Rate-tracking variants for non-Poisson fault environments: the
+  // adaptive rule re-estimates lambda from observed inter-fault gaps
+  // instead of trusting the nominal rate for the whole run.
+  if (name == "A_D-est") return P::with_estimator(P::adt_dvs());
+  if (name == "A_D_S-est") return P::with_estimator(P::adapchp_dvs_scp());
+  if (name == "A_D_C-est") return P::with_estimator(P::adapchp_dvs_ccp());
+  throw std::invalid_argument("unknown policy: " + name);
+}
+
+}  // namespace
+
 std::unique_ptr<sim::ICheckpointPolicy> make_policy(
-    const std::string& name, std::size_t baseline_level) {
+    const std::string& name, std::size_t baseline_level,
+    bool recompute_at_commit) {
   if (name == "Poisson") {
     return std::make_unique<PoissonArrivalPolicy>(baseline_level);
   }
   if (name == "k-f-t") {
     return std::make_unique<KFaultTolerantPolicy>(baseline_level);
   }
-  if (name == "A_D") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::adt_dvs());
-  }
-  if (name == "A_D_S") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::adapchp_dvs_scp());
-  }
-  if (name == "A_D_C") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::adapchp_dvs_ccp());
-  }
-  if (name == "adapchp-SCP") {
-    auto config = AdaptiveCheckpointPolicy::adapchp_scp();
-    config.fixed_level = baseline_level;
-    return std::make_unique<AdaptiveCheckpointPolicy>(config);
-  }
-  if (name == "adapchp-CCP") {
-    auto config = AdaptiveCheckpointPolicy::adapchp_ccp();
-    config.fixed_level = baseline_level;
-    return std::make_unique<AdaptiveCheckpointPolicy>(config);
-  }
-  // Rate-tracking variants for non-Poisson fault environments: the
-  // adaptive rule re-estimates lambda from observed inter-fault gaps
-  // instead of trusting the nominal rate for the whole run.
-  if (name == "A_D-est") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::with_estimator(
-            AdaptiveCheckpointPolicy::adt_dvs()));
-  }
-  if (name == "A_D_S-est") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::with_estimator(
-            AdaptiveCheckpointPolicy::adapchp_dvs_scp()));
-  }
-  if (name == "A_D_C-est") {
-    return std::make_unique<AdaptiveCheckpointPolicy>(
-        AdaptiveCheckpointPolicy::with_estimator(
-            AdaptiveCheckpointPolicy::adapchp_dvs_ccp()));
-  }
-  throw std::invalid_argument("unknown policy: " + name);
+  auto config = adaptive_config(name, baseline_level);
+  config.recompute_at_commit = recompute_at_commit;
+  return std::make_unique<AdaptiveCheckpointPolicy>(config);
 }
 
 sim::PolicyFactory make_policy_factory(const std::string& name,
-                                       std::size_t baseline_level) {
-  return [name, baseline_level] { return make_policy(name, baseline_level); };
+                                       std::size_t baseline_level,
+                                       bool recompute_at_commit) {
+  return [name, baseline_level, recompute_at_commit] {
+    return make_policy(name, baseline_level, recompute_at_commit);
+  };
 }
 
 std::vector<std::string> known_policies() {

@@ -1,4 +1,4 @@
-// By-name policy construction for the harness, benches, and examples.
+// By-name policy construction for the harness, scenarios and examples.
 #pragma once
 
 #include <memory>
@@ -22,13 +22,18 @@ namespace adacheck::policy {
 ///                  rate-tracking variants: the adaptive rule blends
 ///                  the nominal lambda with the observed inter-fault
 ///                  gap rate (for non-Poisson fault environments)
+/// `recompute_at_commit` makes every adaptive scheme re-plan at each
+/// committed CSCP as well (an ablation; the paper re-plans only after
+/// faults); the fixed-interval baselines ignore it.
 /// Throws std::invalid_argument for unknown names.
 std::unique_ptr<sim::ICheckpointPolicy> make_policy(
-    const std::string& name, std::size_t baseline_level = 0);
+    const std::string& name, std::size_t baseline_level = 0,
+    bool recompute_at_commit = false);
 
 /// A factory closure suitable for sim::run_cell.
 sim::PolicyFactory make_policy_factory(const std::string& name,
-                                       std::size_t baseline_level = 0);
+                                       std::size_t baseline_level = 0,
+                                       bool recompute_at_commit = false);
 
 /// All scheme names recognized by make_policy.
 std::vector<std::string> known_policies();

@@ -27,6 +27,9 @@ harness::ExperimentSpec build_inline(const ScenarioExperiment& exp) {
   spec.speed_ratio = exp.speed_ratio;
   spec.voltage.kappa = exp.voltage_kappa;
   spec.util_level = exp.util_level;
+  spec.processors = exp.processors;
+  spec.faults_during_overhead = exp.faults_during_overhead;
+  spec.recompute_at_commit = exp.recompute_at_commit;
   spec.schemes = exp.schemes;
   if (!exp.rows.empty()) {
     for (const auto& row : exp.rows) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "harness/paper_params.hpp"
+#include "model/fault.hpp"
 #include "model/fault_env.hpp"
 #include "policy/factory.hpp"
 #include "sched/scheduler.hpp"
@@ -166,7 +167,8 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
 
   check_keys(v, path,
              {"id", "title", "costs", "deadline", "fault_tolerance",
-              "speed_ratio", "voltage_kappa", "util_level", "schemes",
+              "speed_ratio", "voltage_kappa", "util_level", "processors",
+              "faults_during_overhead", "recompute_at_commit", "schemes",
               "rows", "grid", "environment", "environments"});
 
   exp.id = as_string(require(v, path, "id"), member_path(path, "id"));
@@ -204,6 +206,25 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
            "utilization to cycles");
     }
     exp.util_level = static_cast<std::size_t>(value);
+  }
+  if (const Value* processors = v.find("processors")) {
+    const std::string processors_path = member_path(path, "processors");
+    const auto value = as_int(*processors, processors_path);
+    if (value < 2 || value > model::kMaxProcessors) {
+      std::string message = "must be in [2, ";
+      message += std::to_string(model::kMaxProcessors);
+      message += "] (2 = DMR, 3 = TMR)";
+      fail(processors_path, message);
+    }
+    exp.processors = static_cast<int>(value);
+  }
+  if (const Value* overhead = v.find("faults_during_overhead")) {
+    exp.faults_during_overhead =
+        as_bool(*overhead, member_path(path, "faults_during_overhead"));
+  }
+  if (const Value* recompute = v.find("recompute_at_commit")) {
+    exp.recompute_at_commit =
+        as_bool(*recompute, member_path(path, "recompute_at_commit"));
   }
 
   const std::string schemes_path = member_path(path, "schemes");

@@ -31,6 +31,9 @@
 //        "costs": {"store": 2, "compare": 20, "rollback": 0},
 //        "deadline": 10000, "fault_tolerance": 5,
 //        "speed_ratio": 2.0, "voltage_kappa": 4.0, "util_level": 0,
+//        "processors": 2,                    // replicas: 2 DMR, 3 TMR
+//        "faults_during_overhead": false,    // faults in checkpoint ops
+//        "recompute_at_commit": false,       // adaptive re-plan per CSCP
 //        "schemes": ["Poisson", "A_D_S"],    // policy factory names
 //        "grid": {"utilization": [0.76, 0.8],
 //                 "lambda": [1.4e-3, 1.6e-3]},   // cross product, or
@@ -128,6 +131,9 @@ struct ScenarioExperiment {
   double speed_ratio = 2.0;
   double voltage_kappa = 4.0;
   std::size_t util_level = 0;
+  int processors = 2;                  ///< [2, model::kMaxProcessors]
+  bool faults_during_overhead = false;
+  bool recompute_at_commit = false;    ///< applies to adaptive schemes
   std::vector<std::string> schemes;        ///< policy factory names
   std::vector<ScenarioRow> rows;           ///< explicit rows ("rows"), or
   std::vector<double> grid_utilization;    ///< a cross product ("grid"):

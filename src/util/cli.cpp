@@ -88,7 +88,11 @@ std::int64_t CliArgs::get_int(const std::string& name,
   const auto v = get(name);
   if (!v) return fallback;
   try {
-    return std::stoll(*v);
+    std::size_t used = 0;
+    const std::int64_t value = std::stoll(*v, &used);
+    // The whole value must parse: "10k" is not 10.
+    if (used != v->size()) throw std::invalid_argument(*v);
+    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
                                 *v + "'");
@@ -99,7 +103,10 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   try {
-    return std::stod(*v);
+    std::size_t used = 0;
+    const double value = std::stod(*v, &used);
+    if (used != v->size()) throw std::invalid_argument(*v);
+    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
                                 *v + "'");

@@ -1,5 +1,5 @@
-// Tiny command-line flag parser shared by bench binaries, examples,
-// and the adacheck driver.
+// Tiny command-line flag parser shared by the examples and the
+// adacheck binary.
 //
 // Supports --name=value and --name value forms plus boolean switches
 // (--fast).  Unknown flags are an error so typos in experiment sweeps
@@ -38,6 +38,8 @@ class CliArgs {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Numeric getters: the whole value must parse ("10k" and "0.01x"
+  /// throw std::invalid_argument).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

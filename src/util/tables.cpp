@@ -60,26 +60,6 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t) {
   return os << t.to_string();
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) os_ << ',';
-    const std::string& cell = cells[i];
-    const bool needs_quote =
-        cell.find_first_of(",\"\n") != std::string::npos;
-    if (!needs_quote) {
-      os_ << cell;
-      continue;
-    }
-    os_ << '"';
-    for (char ch : cell) {
-      if (ch == '"') os_ << '"';
-      os_ << ch;
-    }
-    os_ << '"';
-  }
-  os_ << '\n';
-}
-
 std::string fmt_fixed(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

@@ -1,8 +1,8 @@
-// Plain-text and CSV table rendering for the benchmark harness.
+// Plain-text table rendering for reports and examples.
 //
-// Every bench binary prints the paper's table rows next to our measured
-// values; TextTable handles column alignment, CsvWriter produces
-// machine-readable output for plotting.
+// `adacheck run` prints the paper's table rows next to our measured
+// values through harness::render_experiment; TextTable handles the
+// column alignment.
 #pragma once
 
 #include <ostream>
@@ -29,16 +29,6 @@ class TextTable {
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;  // empty vector = rule
-};
-
-/// Minimal CSV emitter (RFC-4180 quoting for commas/quotes/newlines).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
-  void write_row(const std::vector<std::string>& cells);
-
- private:
-  std::ostream& os_;
 };
 
 /// Fixed-precision float: fmt_fixed(3.14159, 2) == "3.14".

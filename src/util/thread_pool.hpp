@@ -61,7 +61,7 @@ class ThreadPool {
   static ThreadPool& shared();
 
   /// Requests the shared() pool's worker count before its first use
-  /// (the --threads plumbing of benches, examples, and the adacheck
+  /// (the --threads plumbing of examples and the adacheck
   /// driver).  threads <= 0 means "keep the default" and is always
   /// accepted.  Once shared() exists its size is fixed: re-requesting
   /// the current size is a no-op, any other size throws

@@ -217,6 +217,35 @@ TEST(CampaignFingerprint, SensitiveToEveryResultAffectingKnob) {
   EXPECT_NE(cell_fingerprint(nul), fp);
 }
 
+// processors, faults_during_overhead and recompute_at_commit change
+// results, so each must change the fingerprint: otherwise a warm
+// campaign would replay a DMR cell's cached result for a TMR cell.
+// They are written only off their defaults (DocumentBytesArePinned
+// below shows a spec that leaves them alone).
+TEST(CampaignFingerprint, SensitiveToTheEngineAndReplanKnobs) {
+  const auto base = scenario::parse_scenario_text(kMiniScenario);
+  const std::string fp = cell_fingerprint(base);
+
+  auto tmr = base;
+  tmr.experiments[0].processors = 3;
+  auto overhead = base;
+  overhead.experiments[0].faults_during_overhead = true;
+  auto recompute = base;
+  recompute.experiments[0].recompute_at_commit = true;
+  const std::vector<std::string> fingerprints = {
+      fp, cell_fingerprint(tmr), cell_fingerprint(overhead),
+      cell_fingerprint(recompute)};
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    for (std::size_t j = i + 1; j < fingerprints.size(); ++j) {
+      EXPECT_NE(fingerprints[i], fingerprints[j]) << i << " vs " << j;
+    }
+  }
+  EXPECT_NE(cell_fingerprint_document(tmr).find("\"processors\":3"),
+            std::string::npos);
+  EXPECT_EQ(cell_fingerprint_document(base).find("processors"),
+            std::string::npos);
+}
+
 TEST(CampaignFingerprint, ThreadsAreNotPartOfTheIdentity) {
   const auto base = scenario::parse_scenario_text(kMiniScenario);
   auto threaded = base;

@@ -106,6 +106,30 @@ TEST(CliArgs, MalformedNumbersThrow) {
   EXPECT_THROW(args.get_bool("runs", false), std::invalid_argument);
 }
 
+TEST(CliArgs, NumbersMustParseWhole) {
+  // std::stoll/std::stod stop at the first bad character; the getters
+  // must not: "10k" is not 10 and "1.5" is not an integer.
+  const auto args =
+      parse({"--runs=10k", "--seed=1.5", "--budget=0.01x", "--lambda=1e-3"});
+  EXPECT_THROW(args.get_int("runs", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("budget", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(args.get_double("lambda", 0.0), 1e-3);
+  // The error text is the one malformed numbers always had.
+  try {
+    args.get_int("runs", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --runs expects an integer, got '10k'");
+  }
+  try {
+    args.get_double("budget", 0.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --budget expects a number, got '0.01x'");
+  }
+}
+
 TEST(CliArgs, HasAndGet) {
   const auto args = parse({"--a=1"});
   EXPECT_TRUE(args.has("a"));

@@ -1,6 +1,7 @@
 // End-to-end reproduction checks: reduced-run versions of the paper's
 // tables must reproduce the qualitative results (who wins, and roughly
-// by how much).  The full 10,000-run tables live in bench/table*.
+// by how much).  The full 10,000-run tables come from
+// `adacheck run scenarios/table{1..4}.json`.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace adacheck::harness {
 namespace {
 
@@ -58,28 +56,6 @@ TEST(Report, RenderContainsPaperAndMeasured) {
   EXPECT_NE(text.find("0.9990 / 0.9980"), std::string::npos);  // A_D_S P
   EXPECT_NE(text.find("A_D_S"), std::string::npos);
   EXPECT_NE(text.find("synthetic"), std::string::npos);
-}
-
-TEST(Report, ExtendedRenderHasConfidenceIntervals) {
-  const auto result = synthetic_result(0.998, 0.99);
-  const auto text = render_extended(result);
-  EXPECT_NE(text.find("P 95% CI"), std::string::npos);
-  EXPECT_NE(text.find("rollbacks"), std::string::npos);
-}
-
-TEST(Report, CsvHasHeaderAndOneLinePerCell) {
-  const auto result = synthetic_result(0.998, 0.99);
-  std::ostringstream os;
-  write_csv(result, os);
-  const std::string text = os.str();
-  std::size_t lines = 0, pos = 0;
-  while ((pos = text.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 1u + 4u);  // header + 4 cells
-  EXPECT_NE(text.find("table,utilization"), std::string::npos);
-  EXPECT_NE(text.find("A_D_S"), std::string::npos);
 }
 
 TEST(ShapeChecks, PassOnHealthyResult) {

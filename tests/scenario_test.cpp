@@ -113,6 +113,71 @@ TEST(ScenarioBind, EnvironmentAxisUsesWithEnvironmentsNaming) {
   EXPECT_EQ(specs[1].environment, "bursty-orbit");
 }
 
+constexpr const char* kKnobs = R"json({
+  "schema": "adacheck-scenario-v1", "name": "knobs",
+  "experiments": [
+    {"id": "knobs", "fault_tolerance": 5, "processors": 3,
+     "faults_during_overhead": true, "recompute_at_commit": true,
+     "schemes": ["Poisson", "A_D_S"],
+     "rows": [{"utilization": 0.8, "lambda": 1.6e-3}]}
+  ]})json";
+
+/// A one-row inline experiment carrying `knob`, a `"key": value` member.
+std::string with_knob(const std::string& knob) {
+  std::string text = R"json({"schema": "adacheck-scenario-v1", "name": "x",
+    "experiments": [{"id": "a", "schemes": ["A_D"], )json";
+  text += knob;
+  text += R"json(, "rows": [{"utilization": 0.8, "lambda": 1e-3}]}]})json";
+  return text;
+}
+
+TEST(ScenarioParse, EngineAndReplanKnobs) {
+  const auto defaults = parse_scenario_text(kMinimal).experiments[0];
+  EXPECT_EQ(defaults.processors, 2);
+  EXPECT_FALSE(defaults.faults_during_overhead);
+  EXPECT_FALSE(defaults.recompute_at_commit);
+
+  const auto exp = parse_scenario_text(kKnobs).experiments[0];
+  EXPECT_EQ(exp.processors, 3);
+  EXPECT_TRUE(exp.faults_during_overhead);
+  EXPECT_TRUE(exp.recompute_at_commit);
+  // The range ends are accepted.
+  EXPECT_EQ(parse_scenario_text(with_knob(R"("processors": 2)"))
+                .experiments[0]
+                .processors,
+            2);
+  EXPECT_EQ(parse_scenario_text(with_knob(R"("processors": 32)"))
+                .experiments[0]
+                .processors,
+            32);
+}
+
+TEST(ScenarioBind, EngineAndReplanKnobsReachTheEngine) {
+  const auto specs = bind_experiments(parse_scenario_text(kKnobs));
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].processors, 3);
+  EXPECT_TRUE(specs[0].faults_during_overhead);
+  EXPECT_TRUE(specs[0].recompute_at_commit);
+
+  const auto jobs = harness::experiment_jobs(specs[0], {});
+  ASSERT_EQ(jobs.size(), 2u);  // one row x {Poisson, A_D_S}
+  for (const auto& job : jobs) {
+    EXPECT_EQ(job.setup.fault_model.processors, 3);
+    EXPECT_TRUE(job.setup.fault_model.faults_during_overhead);
+  }
+  // recompute_at_commit reaches the adaptive scheme only.
+  EXPECT_EQ(jobs[0].factory()->commit_rule(), sim::CommitRule::kKeep);
+  EXPECT_EQ(jobs[1].factory()->commit_rule(), sim::CommitRule::kCustom);
+
+  // Left at their defaults, the knobs bind to the paper's setup.
+  const auto plain = harness::experiment_jobs(
+      bind_experiments(parse_scenario_text(kMinimal))[0], {});
+  EXPECT_EQ(plain[1].setup.fault_model.processors, 2);
+  EXPECT_FALSE(plain[1].setup.fault_model.faults_during_overhead);
+  EXPECT_EQ(plain[1].factory()->commit_rule(),
+            sim::CommitRule::kDeadlineGuard);
+}
+
 TEST(ScenarioParse, OutputObjectAndMetricsBlock) {
   const auto scenario = parse_scenario_text(R"json({
     "schema": "adacheck-scenario-v1", "name": "m",
@@ -438,6 +503,34 @@ TEST(ScenarioErrors, TypeAndRangeViolations) {
     ]})json",
                         "experiments[0].grid.utilization",
                         "must not be empty");
+}
+
+TEST(ScenarioErrors, EngineAndReplanKnobViolations) {
+  expect_scenario_error(with_knob(R"("processors": 1)"),
+                        "experiments[0].processors", "must be in [2, 32]");
+  expect_scenario_error(with_knob(R"("processors": 33)"),
+                        "experiments[0].processors", "must be in [2, 32]");
+  expect_scenario_error(with_knob(R"("processors": 2.5)"),
+                        "experiments[0].processors", "expected an integer");
+  expect_scenario_error(with_knob(R"("processors": "3")"),
+                        "experiments[0].processors",
+                        "expected number, got string");
+  expect_scenario_error(with_knob(R"("faults_during_overhead": 1)"),
+                        "experiments[0].faults_during_overhead",
+                        "expected boolean, got number");
+  expect_scenario_error(with_knob(R"("recompute_at_commit": "yes")"),
+                        "experiments[0].recompute_at_commit",
+                        "expected boolean, got string");
+  // A paper-table reference keeps the paper's setup: the knobs belong
+  // to inline experiments, like the other grid knobs.
+  for (const char* knob : {"processors", "faults_during_overhead",
+                           "recompute_at_commit"}) {
+    expect_scenario_error(
+        std::string(R"json({"schema": "adacheck-scenario-v1", "name": "x",
+          "experiments": [{"table": "table1a", ")json") +
+            knob + R"json(": true}]})json",
+        "experiments[0]", std::string("unknown key \"") + knob + "\"");
+  }
 }
 
 TEST(ScenarioErrors, StructuralViolations) {

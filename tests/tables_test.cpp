@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 namespace adacheck::util {
 namespace {
@@ -43,21 +42,6 @@ TEST(TextTable, RulesRender) {
     pos += 2;
   }
   EXPECT_EQ(rules, 2u);
-}
-
-TEST(CsvWriter, QuotesSpecials) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.write_row({"plain", "has,comma", "has\"quote", "multi\nline"});
-  EXPECT_EQ(os.str(),
-            "plain,\"has,comma\",\"has\"\"quote\",\"multi\nline\"\n");
-}
-
-TEST(CsvWriter, EmptyCellsPreserved) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.write_row({"", "b", ""});
-  EXPECT_EQ(os.str(), ",b,\n");
 }
 
 TEST(Formatters, FixedAndSci) {

@@ -10,7 +10,8 @@
 // Subcommands (one cli::CommandRegistry declaration each — dispatch,
 // help, --version, and unknown-flag/verb "did you mean" all derive
 // from the declarations; see src/cli/command.hpp):
-//   run       execute a scenario, write the adacheck-sweep-v6 report
+//   run       execute a scenario, write the adacheck-sweep-v6 report and
+//             print each classic experiment's paper-vs-measured table
 //   campaign  execute a campaign through the result cache, write the
 //             adacheck-campaign-report-v1 report; `campaign ls` and
 //             `campaign gc` inspect and prune the cache itself
@@ -44,6 +45,7 @@
 #include "campaign/spec.hpp"
 #include "cli/command.hpp"
 #include "harness/json_report.hpp"
+#include "harness/report.hpp"
 #include "obs/json_writer.hpp"
 #include "harness/stream_report.hpp"
 #include "model/fault_env.hpp"
@@ -355,6 +357,16 @@ int cmd_run(const util::CliArgs& args) {
     harness::write_sweep_json(sweep, out, options);
   }
 
+  // The paper-vs-measured table and shape checks of every classic
+  // experiment, on the status stream; --quiet skips the rendering.
+  // Shape checks report, they never change the exit code.
+  if (!quiet) {
+    for (const auto& experiment : sweep.experiments) {
+      status << harness::render_experiment(experiment) << "\n"
+             << harness::render_shape_checks(harness::shape_checks(experiment))
+             << "\n";
+    }
+  }
   status << "wall: " << sweep.perf.wall_seconds << " s on "
          << sweep.perf.threads << " threads, " << sweep.perf.runs_per_second
          << " runs/s\n";

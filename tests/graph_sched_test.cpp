@@ -9,11 +9,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "harness/graph_experiment.hpp"
 #include "harness/json_report.hpp"
 #include "harness/stream_report.hpp"
 #include "harness/sweep.hpp"
+#include "model/fault_env.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sched/executive.hpp"
@@ -450,6 +452,73 @@ TEST(GraphExecutive, ValidationRejectsBadConfig) {
   config = quiet_config();
   config.instances = 0;
   EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+}
+
+/// One node per checkpointing scheme family: two sensors feed a fused
+/// estimate that drives a planner and an actuator, beside a logger.
+TaskGraph mixed_policy_graph() {
+  TaskGraph graph;
+  graph.period = 20'000.0;
+  graph.deadline = 12'000.0;
+  const auto with_policy = [](GraphNode n, const char* policy) {
+    n.policy = policy;
+    return n;
+  };
+  graph.add_node(with_policy(node("sense", 3'000.0), "A_D_S"));
+  graph.add_node(with_policy(node("filter", 2'500.0), "A_D_C"));
+  graph.add_node(with_policy(node("fuse", 3'500.0, 3), "A_D_S-est"));
+  graph.add_node(with_policy(node("plan", 2'000.0), "A_D"));
+  graph.add_node(with_policy(node("log", 1'500.0), "k-f-t"));
+  graph.add_node(with_policy(node("act", 1'000.0), "Poisson"));
+  graph.add_edge("sense", "fuse");
+  graph.add_edge("filter", "fuse");
+  graph.add_edge("fuse", "plan");
+  graph.add_edge("plan", "act");
+  return graph;
+}
+
+TEST(GraphExecutive, NodePolicyReuseKeepsEverySchedule) {
+  // Pinned bit for bit, as recorded when every node job built a fresh
+  // policy: a job must see the decisions a new instance would make,
+  // whatever the executive keeps between the jobs of one node.  The
+  // tight deadline makes the fixed-speed "act" miss in some instances.
+  struct Pinned {
+    const char* environment;
+    double total_energy;
+    long long faults;
+    long long rollbacks;
+    long long corrections;
+    double makespan;
+    double end_to_end_mean;
+    std::vector<int> completed;  ///< per node, graph order
+    std::vector<int> missed;
+  };
+  const std::vector<Pinned> pinned = {
+      {"poisson", 0x1.913591c44f622p+17, 32, 30, 0, 0x1.94a8370b18877p+15,
+       0x1.6d88bff8c281ep+13, {3, 3, 3, 3, 3, 2}, {0, 0, 0, 0, 0, 1}},
+      {"bursty-orbit", 0x1.b055f4d04bcabp+17, 52, 44, 0, 0x1.964p+15,
+       0x1.7381ed34cd544p+13, {3, 3, 3, 3, 3, 1}, {0, 0, 0, 0, 0, 2}},
+  };
+  const TaskGraph graph = mixed_policy_graph();
+  for (const auto& pin : pinned) {
+    auto config = quiet_config(6e-4);
+    config.instances = 3;
+    config.workers = 2;
+    config.environment = model::find_environment(pin.environment);
+    const auto result = run_graph_executive(graph, config);
+    SCOPED_TRACE(pin.environment);
+    EXPECT_EQ(result.total_energy, pin.total_energy);
+    EXPECT_EQ(result.total_faults, pin.faults);
+    EXPECT_EQ(result.total_rollbacks, pin.rollbacks);
+    EXPECT_EQ(result.total_corrections, pin.corrections);
+    EXPECT_EQ(result.makespan, pin.makespan);
+    EXPECT_EQ(result.end_to_end.mean(), pin.end_to_end_mean);
+    ASSERT_EQ(result.per_node.size(), pin.completed.size());
+    for (std::size_t n = 0; n < result.per_node.size(); ++n) {
+      EXPECT_EQ(result.per_node[n].completed, pin.completed[n]) << n;
+      EXPECT_EQ(result.per_node[n].missed, pin.missed[n]) << n;
+    }
+  }
 }
 
 TEST(GraphExecutive, TelemetryOnOffByteIdentity) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -26,6 +27,7 @@ void GraphExecutiveConfig::validate() const {
         "GraphExecutiveConfig: unknown scheduler \"" + scheduler + "\"");
   }
   costs.validate();
+  environment.validate();
   if (!fault_model.valid()) {
     throw std::invalid_argument("GraphExecutiveConfig: invalid fault model");
   }
@@ -131,6 +133,12 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   std::vector<NodeJob> ready;
   std::vector<BlockedJob> blocked;
   std::vector<RunningJob> running;
+  std::vector<RunningJob> finished;  // complete_finished's scratch
+  // One checkpoint policy per node, re-armed before each of its jobs:
+  // reset() makes it act as newly constructed, and the adaptive
+  // schemes keep their m-search memo across the node's jobs.
+  std::vector<std::unique_ptr<sim::ICheckpointPolicy>> node_policies(
+      node_count);
   std::uint64_t sequence = 0;
   int next_instance = 0;
   double now = 0.0;
@@ -219,7 +227,10 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
         model::TaskSpec{node.cycles, std::max(slack, 1e-9), 0.0,
                         node.fault_tolerance, node.name},
         config.costs, processor, config.fault_model, config.environment};
-    auto checkpoint_policy = policy::make_policy(node.policy);
+    auto& checkpoint_policy = node_policies[job.node];
+    if (!checkpoint_policy || !checkpoint_policy->reset()) {
+      checkpoint_policy = policy::make_policy(node.policy);
+    }
     const std::uint64_t seed = util::derive_seed(
         config.seed,
         static_cast<std::uint64_t>(job.instance) * node_count + job.node);
@@ -325,21 +336,19 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   // Completions at exactly `now`, in worker-index order (the only
   // deterministic order available once finishes tie).
   const auto complete_finished = [&] {
-    std::vector<std::size_t> done;
-    for (std::size_t i = 0; i < running.size(); ++i) {
-      if (running[i].finish <= now) done.push_back(i);
+    finished.clear();
+    for (auto it = running.begin(); it != running.end();) {
+      if (it->finish <= now) {
+        finished.push_back(std::move(*it));
+        it = running.erase(it);
+      } else {
+        ++it;
+      }
     }
-    std::sort(done.begin(), done.end(), [&](std::size_t a, std::size_t b) {
-      return running[a].worker < running[b].worker;
-    });
-    std::vector<RunningJob> finished;
-    finished.reserve(done.size());
-    for (const std::size_t i : done) {
-      finished.push_back(std::move(running[i]));
-    }
-    for (auto it = done.rbegin(); it != done.rend(); ++it) {
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
+    std::sort(finished.begin(), finished.end(),
+              [](const RunningJob& a, const RunningJob& b) {
+                return a.worker < b.worker;
+              });
     for (const auto& entry : finished) {
       const NodeJob& job = entry.job;
       auto& inst = instances[static_cast<std::size_t>(job.instance)];

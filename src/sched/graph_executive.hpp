@@ -27,6 +27,11 @@
 //  * Node job seed = derive_seed(config.seed, instance * nodes + node):
 //    independent of the scheduler, so policy comparisons on the same
 //    seed see paired fault draws.
+//  * One checkpoint policy per node per executive run, re-armed before
+//    each job under the sweep's reset() contract (a fresh instance
+//    when reset() returns false): every job decides as a newly built
+//    policy would, and the adaptive m-search memo survives between
+//    the node's jobs.
 #pragma once
 
 #include <cstdint>

@@ -452,6 +452,18 @@ TEST(GraphExecutive, ValidationRejectsBadConfig) {
   config = quiet_config();
   config.instances = 0;
   EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+  // An invalid environment is caught by validate(), before any release
+  // reaches the telemetry.
+  config = quiet_config();
+  config.environment = model::FaultEnvironment::weibull(-1.0);
+  try {
+    config.validate();
+    FAIL() << "invalid environment accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("FaultEnvironment"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// One node per checkpointing scheme family: two sensors feed a fused
@@ -519,6 +531,40 @@ TEST(GraphExecutive, NodePolicyReuseKeepsEverySchedule) {
       EXPECT_EQ(result.per_node[n].missed, pin.missed[n]) << n;
     }
   }
+}
+
+TEST(GraphExecutive, SimultaneousCompletionsOutOfIndexOrder) {
+  // Fault-free Poisson jobs on four fifo lanes.  At t = 100, A (worker
+  // 2), B (worker 0) and C (worker 1) finish together while X (worker 3)
+  // runs on; the running list holds them as A, B, X, C.  Completing
+  // them in worker order must remove exactly those three entries,
+  // leaving X to finish once at t = 220.
+  TaskGraph graph;
+  graph.period = 1'000.0;
+  const auto poisson = [](const char* name, double cycles) {
+    GraphNode n = node(name, cycles);
+    n.policy = "Poisson";
+    return n;
+  };
+  graph.add_node(poisson("p0", 8.0));
+  graph.add_node(poisson("p1", 28.0));
+  graph.add_node(poisson("A", 98.0));
+  graph.add_node(poisson("p3", 18.0));
+  graph.add_node(poisson("B", 88.0));
+  graph.add_node(poisson("X", 198.0));
+  graph.add_node(poisson("C", 68.0));
+
+  auto config = quiet_config();
+  config.costs = model::CheckpointCosts{1.0, 1.0, 0.0};
+  config.scheduler = "fifo";
+  config.workers = 4;
+  const auto result = run_graph_executive(graph, config);
+  for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
+    EXPECT_EQ(result.per_node[n].completed, 1) << graph.nodes[n].name;
+    EXPECT_EQ(result.per_node[n].missed, 0) << graph.nodes[n].name;
+  }
+  EXPECT_EQ(result.instances_completed, 1);
+  EXPECT_DOUBLE_EQ(result.makespan, 220.0);
 }
 
 TEST(GraphExecutive, TelemetryOnOffByteIdentity) {

@@ -326,6 +326,11 @@ std::string fingerprint_document(
         json.begin_array();
         for (const auto r : node.resources) json.value(r);
         json.end_array();
+        if (node.own_period()) {
+          json.kv("period", node.period);
+          json.kv("deadline", node.relative_deadline());
+          json.kv("phase", node.phase);
+        }
         json.end_object();
       }
       json.end_array();

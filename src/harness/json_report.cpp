@@ -210,6 +210,11 @@ void write_sweep_json(const SweepResult& sweep, std::ostream& os,
           json.value(spec.graph.resources[r].name);
         }
         json.end_array();
+        if (node.own_period()) {
+          json.kv("period", node.period);
+          json.kv("deadline", node.relative_deadline());
+          json.kv("phase", node.phase);
+        }
         json.end_object();
       }
       json.end_array();

@@ -280,7 +280,8 @@ std::vector<std::string> declared_names(const auto& items) {
 sched::GraphNode parse_graph_node(const Value& v, const std::string& path) {
   require_object(v, path);
   check_keys(v, path,
-             {"name", "cycles", "fault_tolerance", "policy", "resources"});
+             {"name", "cycles", "fault_tolerance", "policy", "resources",
+              "period", "deadline", "phase"});
   sched::GraphNode node;
   node.name = as_string(require(v, path, "name"), member_path(path, "name"));
   if (node.name.empty()) fail(member_path(path, "name"), "must not be empty");
@@ -295,6 +296,24 @@ sched::GraphNode parse_graph_node(const Value& v, const std::string& path) {
     const std::string policy_path = member_path(path, "policy");
     node.policy = as_string(*policy, policy_path);
     check_name(node.policy, policy::known_policies(), policy_path);
+  }
+  // Own release stream: a periodic task (see sched/task_graph.hpp).
+  if (const Value* period = v.find("period")) {
+    node.period = positive_number(*period, member_path(path, "period"));
+  }
+  if (const Value* deadline = v.find("deadline")) {
+    const std::string deadline_path = member_path(path, "deadline");
+    node.deadline = positive_number(*deadline, deadline_path);
+    if (!node.own_period()) fail(deadline_path, "needs a node \"period\"");
+    if (node.deadline > node.period) {
+      fail(deadline_path, "must be <= the node period");
+    }
+  }
+  if (const Value* phase = v.find("phase")) {
+    const std::string phase_path = member_path(path, "phase");
+    node.phase = as_number(*phase, phase_path);
+    if (node.phase < 0.0) fail(phase_path, "must be >= 0");
+    if (!node.own_period()) fail(phase_path, "needs a node \"period\"");
   }
   // Resource name references are resolved to indices by the caller,
   // which knows the declared resource list.
@@ -423,6 +442,17 @@ ScenarioGraph parse_graph(const Value& v, const std::string& path) {
       fail(member_path(path, "instances"), "must be in [1, 1e6]");
     }
     graph.instances = static_cast<int>(value);
+  }
+  // An own-period node's releases are bounded like the instances.
+  const double window = graph.instances * graph.graph.period;
+  const std::string nodes_path =
+      member_path(member_path(path, "graph"), "nodes");
+  for (std::size_t n = 0; n < graph.graph.nodes.size(); ++n) {
+    const auto& node = graph.graph.nodes[n];
+    if (node.own_period() && window / node.period > 1e6) {
+      fail(member_path(index_path(nodes_path, n), "period"),
+           "releases more than 1e6 jobs in instances * graph period");
+    }
   }
   if (const Value* skip = v.find("skip_late_jobs")) {
     graph.skip_late_jobs =

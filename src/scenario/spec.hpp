@@ -47,10 +47,16 @@
 //        "graph": {"period": 30000, "deadline": 28000,  // end-to-end
 //                  "nodes": [{"name": "decode", "cycles": 5000,
 //                             "fault_tolerance": 2, "policy": "A_D_S",
-//                             "resources": ["bus"]}],
+//                             "resources": ["bus"]},
+//                            {"name": "tick", "cycles": 500,
+//                             "period": 10000,  // own releases: a
+//                             "deadline": 6000,  // periodic task, no
+//                             "phase": 0}],      // edges; deadline
+//                                                // <= period (default)
 //                  "edges": [{"from": "decode", "to": "filter"}],
 //                  "resources": [{"name": "bus", "capacity": 1}]},
-//        "workers": 2, "instances": 8, "skip_late_jobs": true,
+//        "workers": 2, "instances": 8,   // window = instances * period
+//        "skip_late_jobs": true,
 //        "costs": {"store": 2, "compare": 20, "rollback": 0},
 //        "speed_ratio": 2.0, "voltage_kappa": 4.0,
 //        "schedulers": ["edf", "critical-path"],  // registry names

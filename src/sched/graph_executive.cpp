@@ -44,8 +44,7 @@ double GraphScheduleResult::instance_miss_ratio() const {
 
 namespace {
 
-/// Same registry names as the flat executive — the handles resolve to
-/// the same counters.
+/// Telemetry handles, resolved once; gated on Registry::enabled().
 struct SchedMetrics {
   obs::Counter& released;
   obs::Counter& completed;
@@ -62,18 +61,35 @@ struct SchedMetrics {
   }
 };
 
-enum class NodeState { kWaiting, kReady, kBlocked, kRunning, kDone, kSkipped };
+/// kAbsent: not a member of the instance (an own-period node in a
+/// whole-graph instance, or any other node in a one-node instance).
+enum class NodeState {
+  kAbsent, kWaiting, kReady, kBlocked, kRunning, kDone, kSkipped
+};
 
 struct InstanceState {
   double release = 0.0;
   double absolute_deadline = 0.0;
   std::vector<int> deps_left;
   std::vector<NodeState> state;
+  int nodes = 0;  ///< member count
   int nodes_done = 0;
   bool abandoned = false;
 };
 
-struct NodeJob : DispatchCandidate {};
+/// One release: a whole-graph instance (rank == kWholeGraph) or one
+/// job of an own-period node.  Its index in the sorted release list is
+/// the instance's slot.
+struct Release {
+  static constexpr std::size_t kWholeGraph = 0;  ///< rank ahead of nodes
+  double time = 0.0;
+  std::size_t rank = kWholeGraph;  ///< kWholeGraph, or node index + 1
+  int index = 0;                   ///< graph instance / node job number
+};
+
+struct NodeJob : DispatchCandidate {
+  std::size_t slot = 0;  ///< owning instance's release-list index
+};
 
 struct BlockedJob {
   NodeJob job;
@@ -117,11 +133,40 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
     ++indegree[edge.to];
   }
 
+  // Every release in the window [0, instances * period), sorted by
+  // (time, rank): the admission order, so sequence numbers and with
+  // them every policy tie-break follow it.
+  const double window = static_cast<double>(config.instances) * graph.period;
+  std::vector<Release> releases;
+  // Sized for the whole-graph releases up front: regrowing it in every
+  // run measurably slows multi-threaded graph sweeps.
+  releases.reserve(static_cast<std::size_t>(config.instances));
+  if (std::any_of(graph.nodes.begin(), graph.nodes.end(),
+                  [](const GraphNode& node) { return !node.own_period(); })) {
+    for (int k = 0; k < config.instances; ++k) {
+      releases.push_back(
+          {static_cast<double>(k) * graph.period, Release::kWholeGraph, k});
+    }
+  }
+  for (std::size_t n = 0; n < node_count; ++n) {
+    const auto& node = graph.nodes[n];
+    if (!node.own_period()) continue;
+    for (int j = 0;; ++j) {
+      const double time = node.phase + static_cast<double>(j) * node.period;
+      if (time >= window) break;
+      releases.push_back({time, n + 1, j});
+    }
+  }
+  std::sort(releases.begin(), releases.end(),
+            [](const Release& a, const Release& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.rank < b.rank;
+            });
+
   GraphScheduleResult result;
   result.per_node.resize(node_count);
 
-  std::vector<InstanceState> instances(
-      static_cast<std::size_t>(config.instances));
+  std::vector<InstanceState> instances(releases.size());
   std::vector<bool> worker_busy(static_cast<std::size_t>(config.workers),
                                 false);
   int free_workers = config.workers;
@@ -140,7 +185,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   std::vector<std::unique_ptr<sim::ICheckpointPolicy>> node_policies(
       node_count);
   std::uint64_t sequence = 0;
-  int next_instance = 0;
+  std::size_t next_release = 0;
   double now = 0.0;
 
   const auto policy_order = [&](const DispatchCandidate& a,
@@ -165,7 +210,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   };
 
   const auto skip_node = [&](const NodeJob& job) {
-    auto& inst = instances[static_cast<std::size_t>(job.instance)];
+    auto& inst = instances[job.slot];
     inst.state[job.node] = NodeState::kSkipped;
     ++result.per_node[job.node].skipped;
     ++result.per_node[job.node].missed;
@@ -176,8 +221,8 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   // deadline, so every node not yet done or running is skipped —
   // blocked ones free their workers, ready ones are dropped from the
   // queue.  Running nodes finish normally (non-preemptive lanes).
-  const auto abandon_instance = [&](int instance) {
-    auto& inst = instances[static_cast<std::size_t>(instance)];
+  const auto abandon_instance = [&](std::size_t slot) {
+    auto& inst = instances[slot];
     if (inst.abandoned) return;
     inst.abandoned = true;
     ++result.instances_missed;
@@ -186,17 +231,17 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
           inst.state[n] == NodeState::kReady) {
         NodeJob job;
         job.node = n;
-        job.instance = instance;
+        job.slot = slot;
         skip_node(job);
       }
     }
     ready.erase(std::remove_if(ready.begin(), ready.end(),
                                [&](const NodeJob& job) {
-                                 return job.instance == instance;
+                                 return job.slot == slot;
                                }),
                 ready.end());
     for (auto it = blocked.begin(); it != blocked.end();) {
-      if (it->job.instance == instance) {
+      if (it->job.slot == slot) {
         skip_node(it->job);
         worker_busy[static_cast<std::size_t>(it->worker)] = false;
         ++free_workers;
@@ -211,8 +256,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
   const auto execute = [&](const NodeJob& job, int worker, double dispatch,
                            double acquire_time) {
     const auto& node = graph.nodes[job.node];
-    auto& inst = instances[static_cast<std::size_t>(job.instance)];
-    inst.state[job.node] = NodeState::kRunning;
+    instances[job.slot].state[job.node] = NodeState::kRunning;
     const double blocking = acquire_time - dispatch;
     result.per_node[job.node].blocking_time.add(blocking);
     result.total_blocking += blocking;
@@ -258,11 +302,11 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
         skip_node(it->job);
         worker_busy[static_cast<std::size_t>(it->worker)] = false;
         ++free_workers;
-        const int instance = it->job.instance;
+        const std::size_t slot = it->job.slot;
         blocked.erase(it);
         // abandon_instance erases this instance's remaining blocked
         // entries itself; restart (erase kept the policy order).
-        abandon_instance(instance);
+        abandon_instance(slot);
         it = blocked.begin();
         continue;
       }
@@ -284,7 +328,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
       const double slack = job.absolute_deadline - now;
       if (config.skip_late_jobs && slack <= 0.0) {
         skip_node(job);
-        abandon_instance(job.instance);
+        abandon_instance(job.slot);
         continue;
       }
       int worker = 0;
@@ -297,29 +341,40 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
       } else {
         // Mark kBlocked so abandon_instance's waiting/ready sweep does
         // not also count it — the blocked list is its single owner.
-        instances[static_cast<std::size_t>(job.instance)].state[job.node] =
-            NodeState::kBlocked;
+        instances[job.slot].state[job.node] = NodeState::kBlocked;
         blocked.push_back({job, worker, now});
       }
     }
   };
 
+  // A whole-graph release admits every graph-period node and queues
+  // the roots; an own-period release admits its one node.
   const auto admit_releases = [&] {
-    while (next_instance < config.instances &&
-           static_cast<double>(next_instance) * graph.period <= now) {
-      auto& inst = instances[static_cast<std::size_t>(next_instance)];
-      inst.release = static_cast<double>(next_instance) * graph.period;
-      inst.absolute_deadline = inst.release + e2e;
-      inst.deps_left = indegree;
-      inst.state.assign(node_count, NodeState::kWaiting);
+    while (next_release < releases.size() &&
+           releases[next_release].time <= now) {
+      const Release& release = releases[next_release];
+      const bool whole = release.rank == Release::kWholeGraph;
+      auto& inst = instances[next_release];
+      inst.release = release.time;
+      inst.absolute_deadline =
+          inst.release +
+          (whole ? e2e : graph.nodes[release.rank - 1].relative_deadline());
+      if (whole) inst.deps_left = indegree;
+      inst.state.assign(node_count, NodeState::kAbsent);
       ++result.instances_released;
       for (std::size_t n = 0; n < node_count; ++n) {
+        if (whole ? graph.nodes[n].own_period() : n + 1 != release.rank) {
+          continue;
+        }
+        ++inst.nodes;
         ++result.per_node[n].released;
         if (telemetry) SchedMetrics::get().released.add(1);
+        inst.state[n] = NodeState::kWaiting;
         if (indegree[n] == 0) {
           NodeJob job;
           job.node = n;
-          job.instance = next_instance;
+          job.instance = release.index;
+          job.slot = next_release;
           job.release = inst.release;
           job.ready_time = inst.release;
           job.absolute_deadline = inst.absolute_deadline;
@@ -329,7 +384,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
           ready.push_back(job);
         }
       }
-      ++next_instance;
+      ++next_release;
     }
   };
 
@@ -351,7 +406,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
               });
     for (const auto& entry : finished) {
       const NodeJob& job = entry.job;
-      auto& inst = instances[static_cast<std::size_t>(job.instance)];
+      auto& inst = instances[job.slot];
       auto& stats = result.per_node[job.node];
       worker_busy[static_cast<std::size_t>(entry.worker)] = false;
       ++free_workers;
@@ -388,6 +443,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
               NodeJob child;
               child.node = next;
               child.instance = job.instance;
+              child.slot = job.slot;
               child.release = inst.release;
               child.ready_time = now;
               child.absolute_deadline = inst.absolute_deadline;
@@ -397,7 +453,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
               ready.push_back(child);
             }
           }
-          if (inst.nodes_done == static_cast<int>(node_count)) {
+          if (inst.nodes_done == inst.nodes) {
             ++result.instances_completed;
             result.end_to_end.add(entry.finish - inst.release);
           }
@@ -405,7 +461,7 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
       } else {
         ++stats.missed;
         if (telemetry) SchedMetrics::get().missed.add(1);
-        abandon_instance(job.instance);
+        abandon_instance(job.slot);
       }
     }
   };
@@ -418,9 +474,8 @@ GraphScheduleResult run_graph_executive(const TaskGraph& graph,
     for (const auto& entry : running) {
       next_event = std::min(next_event, entry.finish);
     }
-    if (next_instance < config.instances) {
-      next_event = std::min(
-          next_event, static_cast<double>(next_instance) * graph.period);
+    if (next_release < releases.size()) {
+      next_event = std::min(next_event, releases[next_release].time);
     }
     if (!std::isfinite(next_event)) break;
     now = std::max(now, next_event);

@@ -1,7 +1,10 @@
 // Multi-worker executive over periodic DAG releases.
 //
 // A whole TaskGraph instance is released every period with one
-// end-to-end deadline; nodes become dispatchable when their
+// end-to-end deadline, and each release of an own-period node (a
+// periodic task, GraphNode::period > 0) is a one-node instance with
+// the node's deadline; a periodic task set is a graph of such nodes
+// on one worker.  Nodes become dispatchable when their
 // predecessors complete and are placed on `workers` identical lanes by
 // a scheduler policy (sched/scheduler.hpp).  A dispatched node first
 // acquires its declared shared resources all-or-nothing — while it
@@ -13,6 +16,13 @@
 // instance's absolute deadline.
 //
 // Pinned semantics (tests depend on these):
+//  * A run simulates the releases in [0, instances * graph.period):
+//    whole-graph instances k = 0 .. instances - 1 at k * period, and
+//    own-period node jobs at phase + j * node period.
+//  * Releases are admitted in (release time, node index) order; a
+//    whole-graph instance ranks ahead of own-period jobs released at
+//    the same time and admits its root nodes in index order.  For a
+//    task set this is the order of a flat periodic executive.
 //  * Event order at each time point: completions (worker-index order)
 //    -> instance releases -> blocked-node acquisition retries (policy
 //    order) -> dispatch of ready nodes to the lowest-index free
@@ -24,9 +34,11 @@
 //    acquisition retry; a late or failed node abandons its whole
 //    instance — remaining nodes are skipped and counted missed, nodes
 //    already running finish normally.
-//  * Node job seed = derive_seed(config.seed, instance * nodes + node):
-//    independent of the scheduler, so policy comparisons on the same
-//    seed see paired fault draws.
+//  * Node job seed = derive_seed(config.seed, k * nodes + node), k the
+//    graph instance number or, for an own-period node, its own job
+//    number (0 for the release at its phase): independent of the
+//    scheduler, so policy comparisons on the same seed see paired
+//    fault draws.
 //  * One checkpoint policy per node per executive run, re-armed before
 //    each job under the sweep's reset() contract (a fresh instance
 //    when reset() returns false): every job decides as a newly built
@@ -49,7 +61,7 @@
 namespace adacheck::sched {
 
 struct GraphExecutiveConfig {
-  int instances = 1;           ///< periodic releases to simulate
+  int instances = 1;           ///< window = instances * graph.period
   std::uint64_t seed = 0x5EED;
   bool skip_late_jobs = true;
   int workers = 1;             ///< identical non-preemptive lanes
@@ -93,7 +105,7 @@ struct GraphScheduleResult {
   double instance_miss_ratio() const;
 };
 
-/// Simulates `config.instances` periodic releases of the graph.
+/// Simulates every release in [0, config.instances * graph.period).
 GraphScheduleResult run_graph_executive(const TaskGraph& graph,
                                         const GraphExecutiveConfig& config);
 

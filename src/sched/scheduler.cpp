@@ -7,8 +7,8 @@ namespace adacheck::sched {
 namespace {
 
 /// Earliest absolute deadline first.  With sequence tie-break this is
-/// exactly the pre-registry executive's (deadline, release, task)
-/// order, since admission follows (release, task index).
+/// (deadline, release, node index) order, since admission follows
+/// (release, node index).
 class EdfPolicy final : public ISchedulerPolicy {
  public:
   std::string_view name() const override { return "edf"; }

@@ -1,14 +1,13 @@
-// Scheduler-policy registry for the executives.
+// Scheduler-policy registry for the graph executive.
 //
-// Dispatch order used to be hardwired non-preemptive EDF inside
-// executive.cpp; it is now a pluggable policy resolved by name, the
-// same factory-by-name shape as the fault-environment and
-// checkpoint-policy registries.  A policy is a pure priority function:
-// given a dispatch candidate and the current time it returns a key,
-// and the executive dispatches the lowest key first.  Ties are always
-// broken by admission sequence — a deterministic total order — so
-// every policy yields the same schedule at any thread count, and the
-// default "edf" reproduces the pre-registry executive bit-for-bit.
+// Dispatch order is a pluggable policy resolved by name, the same
+// factory-by-name shape as the fault-environment and checkpoint-policy
+// registries.  A policy is a pure priority function: given a dispatch
+// candidate and the current time it returns a key, and the executive
+// dispatches the lowest key first.  Ties are always broken by
+// admission sequence — a deterministic total order — so every policy
+// yields the same schedule at any thread count, and the default "edf"
+// on a periodic task set is non-preemptive EDF.
 #pragma once
 
 #include <cstdint>
@@ -19,19 +18,19 @@
 
 namespace adacheck::sched {
 
-/// One dispatchable job as a policy sees it.  The flat executive fills
-/// instance/remaining_path from the task (job index, task cycles); the
-/// graph executive fills them from the DAG (instance number, inclusive
-/// downstream critical-path cycles).
+/// One dispatchable job as a policy sees it: a graph node's job, with
+/// instance/remaining_path from the DAG (the graph instance number, or
+/// an own-period node's job number; the inclusive downstream
+/// critical-path cycles, just the node's cycles when it has no
+/// successors).
 struct DispatchCandidate {
-  std::size_t node = 0;       ///< task / graph-node index
-  int instance = 0;           ///< per-task job index / graph instance
+  std::size_t node = 0;       ///< graph-node index
+  int instance = 0;           ///< graph instance / own-period job number
   double release = 0.0;       ///< release time of the job (or its instance)
   double ready_time = 0.0;    ///< when it became dispatchable
   double absolute_deadline = 0.0;
   /// Remaining work bound in cycles at f1 = 1 (== time units at base
-  /// speed): the task's cycles, or the node's inclusive downstream
-  /// critical path.
+  /// speed): the node's inclusive downstream critical path.
   double remaining_path = 0.0;
   /// Admission order — the universal deterministic tie-break.
   std::uint64_t sequence = 0;

@@ -52,6 +52,16 @@ void TaskGraph::validate() const {
     if (node.fault_tolerance < 0) {
       fail("node \"" + node.name + "\": fault_tolerance must be >= 0");
     }
+    if (node.period < 0.0) {
+      fail("node \"" + node.name + "\": period must be >= 0 (0 = graph's)");
+    }
+    if (node.deadline < 0.0 || node.deadline > node.period) {
+      fail("node \"" + node.name + "\": deadline must be in [0, period]");
+    }
+    if (node.phase < 0.0 || (node.phase > 0.0 && !node.own_period())) {
+      fail("node \"" + node.name +
+           "\": phase must be >= 0 and needs a node period");
+    }
     std::unordered_set<std::size_t> held;
     for (const std::size_t r : node.resources) {
       if (r >= resources.size()) {
@@ -81,6 +91,12 @@ void TaskGraph::validate() const {
     }
     if (edge.from == edge.to) {
       fail("self-edge on node \"" + nodes[edge.from].name + "\"");
+    }
+    for (const std::size_t end : {edge.from, edge.to}) {
+      if (nodes[end].own_period()) {
+        fail("node \"" + nodes[end].name +
+             "\" has its own period and cannot take edges");
+      }
     }
   }
 

@@ -4,8 +4,12 @@
 // composes many such jobs into a directed acyclic graph: each node is
 // a paper-model job (cycles, fault-tolerance k, checkpointing policy)
 // and each edge a precedence constraint.  A whole graph instance is
-// released every `period` with one end-to-end deadline; nodes may also
-// declare shared resources (named, integer capacity) they must hold
+// released every `period` with one end-to-end deadline.  A node with
+// its own `period` is instead released on its own stream (a periodic
+// task, first release at its `phase`), each release a one-node
+// instance with the node's deadline; such a node takes no edges, so a
+// periodic task set is a graph of edge-free own-period nodes.  Nodes
+// may also declare shared resources (named, integer capacity) they must hold
 // while executing — the graph executive (sched/graph_executive.hpp)
 // accounts the resulting blocking time separately from execution.
 //
@@ -31,6 +35,14 @@ struct GraphNode {
   int fault_tolerance = 0;       ///< k for this node's job
   std::string policy = "A_D_S";  ///< checkpointing scheme
   std::vector<std::size_t> resources;  ///< indices into TaskGraph::resources
+  double period = 0.0;    ///< own release separation (0 = with the graph)
+  double deadline = 0.0;  ///< relative, <= period (0 = implicit: == period)
+  double phase = 0.0;     ///< first own release time
+
+  bool own_period() const noexcept { return period > 0.0; }
+  double relative_deadline() const noexcept {
+    return deadline > 0.0 ? deadline : period;
+  }
 };
 
 /// A shared resource with integer capacity (units held concurrently).
@@ -71,7 +83,10 @@ struct TaskGraph {
   /// Throws std::invalid_argument on: no nodes, non-positive period or
   /// cycles, negative k, duplicate node/resource names, out-of-range
   /// edge or resource references, duplicate resource refs on a node,
-  /// capacity < 1, self-edges, or a cycle (error names the path).
+  /// capacity < 1, self-edges, a cycle (error names the path), a
+  /// negative node period or phase, a node deadline outside
+  /// [0, node period], a node deadline or phase without a node
+  /// period, or an edge on an own-period node.
   void validate() const;
 
   /// Node indices in topological order; among simultaneously ready

@@ -246,6 +246,32 @@ TEST(CampaignFingerprint, SensitiveToTheEngineAndReplanKnobs) {
             std::string::npos);
 }
 
+// A node's own release stream changes its schedule, so period,
+// deadline and phase are part of the identity; they are written only
+// when a node sets them (DocumentBytesArePinned's nodes set none).
+TEST(CampaignFingerprint, SensitiveToANodePeriod) {
+  const auto base = scenario::parse_scenario_text(R"({
+    "schema": "adacheck-scenario-v1",
+    "name": "tasks",
+    "graphs": [{
+      "id": "tasks",
+      "graph": {"period": 4000,
+                "nodes": [{"name": "a", "cycles": 300, "period": 1000},
+                          {"name": "b", "cycles": 500, "period": 2000}]},
+      "instances": 2,
+      "schedulers": ["edf"],
+      "lambdas": [1e-3]
+    }]
+  })");
+  auto slower = base;
+  slower.graphs[0].graph.nodes[1].period = 4000.0;
+  EXPECT_NE(cell_fingerprint(slower), cell_fingerprint(base));
+  EXPECT_NE(cell_fingerprint_document(base).find(
+                R"("deadline":2000,"fault_tolerance":0,"name":"b")"),
+            std::string::npos)
+      << cell_fingerprint_document(base);
+}
+
 TEST(CampaignFingerprint, ThreadsAreNotPartOfTheIdentity) {
   const auto base = scenario::parse_scenario_text(kMiniScenario);
   auto threaded = base;

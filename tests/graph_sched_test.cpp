@@ -1,5 +1,5 @@
 // DAG task-graph subsystem: TaskGraph validation/analysis, the
-// scheduler-policy registry, the pluggable flat-executive dispatch,
+// scheduler-policy registry, periodic task sets as own-period nodes,
 // the multi-worker graph executive (precedence, contention, blocking
 // accounting, skip-late interactions), and the harness bridge
 // (thread-count bit-identity, paired-policy miss-rate separation,
@@ -18,11 +18,9 @@
 #include "model/fault_env.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "sched/executive.hpp"
 #include "sched/graph_executive.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/task_graph.hpp"
-#include "sched/taskset.hpp"
 
 namespace adacheck {
 namespace {
@@ -253,65 +251,357 @@ TEST(SchedulerRegistry, PriorityKeysOrderCandidates) {
   EXPECT_DOUBLE_EQ(laxity->priority_key(relaxed, 10.0), 880.0);
 }
 
-// --- flat executive with pluggable policies ------------------------------
+// --- periodic task sets: own-period nodes --------------------------------
 
-sched::PeriodicTask periodic(const char* name, double cycles, double period) {
-  sched::PeriodicTask task;
-  task.name = name;
-  task.cycles = cycles;
-  task.period = period;
-  task.fault_tolerance = 3;
-  task.policy = "A_D_S";
-  return task;
+/// A periodic task: an edge-free node with its own release stream.
+GraphNode periodic(const char* name, double cycles, double period,
+                   const char* policy = "A_D_S", int k = 3) {
+  GraphNode n = node(name, cycles, k);
+  n.period = period;
+  n.policy = policy;
+  return n;
 }
 
-TEST(Executive, FifoRunsAdmissionOrderWhereEdfReorders) {
-  // Both release at 0: edf runs "tight" first (deadline 1000 < 4000),
-  // fifo keeps admission order (release, task index) -> "loose" first.
-  sched::TaskSet set{{periodic("loose", 200.0, 4'000.0),
-                      periodic("tight", 200.0, 1'000.0)}};
-  sched::ExecutiveConfig config;
-  config.horizon = 4'000.0;
-  config.costs = model::CheckpointCosts::paper_scp_flavor();
-  config.fault_model = model::FaultModel{0.0, false};
-
-  config.scheduler = "edf";
-  const auto edf = run_executive(set, config);
-  ASSERT_GE(edf.jobs.size(), 2u);
-  EXPECT_EQ(set.tasks[edf.jobs[0].task_index].name, "tight");
-
-  config.scheduler = "fifo";
-  const auto fifo = run_executive(set, config);
-  ASSERT_GE(fifo.jobs.size(), 2u);
-  EXPECT_EQ(set.tasks[fifo.jobs[0].task_index].name, "loose");
-  EXPECT_EQ(set.tasks[fifo.jobs[1].task_index].name, "tight");
+/// A task set simulated over [0, horizon): one whole window, so the
+/// default config (one instance, one worker) runs it.
+TaskGraph task_set(std::vector<GraphNode> tasks, double horizon) {
+  TaskGraph graph;
+  graph.period = horizon;
+  for (auto& task : tasks) graph.add_node(std::move(task));
+  return graph;
 }
 
-TEST(Executive, SimultaneousReleaseDeadlineTieBreaksByTaskIndex) {
-  // Identical periods and deadlines: every policy key ties, so the
-  // admission sequence (release, then task index) decides — pinned.
-  sched::TaskSet set{{periodic("b_second", 100.0, 1'000.0),
-                      periodic("a_first", 100.0, 1'000.0)}};
-  for (const auto& scheduler : sched::known_schedulers()) {
-    sched::ExecutiveConfig config;
-    config.horizon = 2'000.0;
-    config.costs = model::CheckpointCosts::paper_scp_flavor();
-    config.fault_model = model::FaultModel{0.0, false};
-    config.scheduler = scheduler;
-    const auto result = run_executive(set, config);
-    ASSERT_GE(result.jobs.size(), 2u) << scheduler;
-    EXPECT_EQ(result.jobs[0].task_index, 0) << scheduler;
-    EXPECT_EQ(result.jobs[1].task_index, 1) << scheduler;
+/// The control example's three tasks (examples/control_taskset.cpp).
+TaskGraph control_task_set(const char* policy) {
+  GraphNode attitude = periodic("attitude", 2'600.0, 10'000.0, policy, 4);
+  attitude.deadline = 6'000.0;
+  GraphNode navigation = periodic("navigation", 3'000.0, 20'000.0, policy, 4);
+  GraphNode telemetry = periodic("telemetry", 4'000.0, 40'000.0, policy, 4);
+  telemetry.phase = 5'000.0;
+  return task_set({attitude, navigation, telemetry}, 400'000.0);
+}
+
+TaskGraph overload_pair(double horizon) {
+  return task_set({periodic("a", 800.0, 1'000.0, "k-f-t"),
+                   periodic("b", 800.0, 1'000.0, "k-f-t")},
+                  horizon);
+}
+
+TEST(TaskGraph, OwnPeriodValidationRules) {
+  const auto single = [](GraphNode n) { return task_set({n}, 1'000.0); };
+  GraphNode bad = periodic("a", 10.0, -100.0);
+  EXPECT_THROW(single(bad).validate(), std::invalid_argument);
+  bad = periodic("a", 10.0, 100.0);
+  bad.deadline = 200.0;  // > period
+  EXPECT_THROW(single(bad).validate(), std::invalid_argument);
+  bad = periodic("a", 10.0, 100.0);
+  bad.phase = -1.0;
+  EXPECT_THROW(single(bad).validate(), std::invalid_argument);
+  // A deadline or phase means nothing without a node period.
+  bad = node("a", 10.0);
+  bad.deadline = 50.0;
+  EXPECT_THROW(single(bad).validate(), std::invalid_argument);
+  bad = node("a", 10.0);
+  bad.phase = 5.0;
+  EXPECT_THROW(single(bad).validate(), std::invalid_argument);
+
+  // An own-period node takes no edge, in either direction.
+  TaskGraph edged = task_set({periodic("p", 10.0, 100.0), node("g", 10.0)},
+                             1'000.0);
+  edged.add_edge("g", "p");
+  EXPECT_THROW(edged.validate(), std::invalid_argument);
+  edged.edges.clear();
+  edged.add_edge("p", "g");
+  try {
+    edged.validate();
+    FAIL() << "edge on an own-period node accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("own period"), std::string::npos)
+        << e.what();
+  }
+
+  GraphNode ok = periodic("a", 10.0, 100.0);
+  ok.deadline = 100.0;
+  ok.phase = 250.0;
+  EXPECT_NO_THROW(single(ok).validate());
+  EXPECT_DOUBLE_EQ(periodic("a", 10.0, 100.0).relative_deadline(), 100.0);
+  EXPECT_DOUBLE_EQ(ok.relative_deadline(), 100.0);
+}
+
+TEST(GraphExecutive, PeriodicNodesMatchFlatExecutiveFaultFree) {
+  // Expected values recorded from the flat periodic executive that
+  // own-period nodes replaced, fault-free so the job seeds play no
+  // part: the schedules must agree exactly.
+  struct Task {
+    int released, completed, missed, skipped;
+    double response_mean, response_max, energy;
+  };
+  struct Pinned {
+    const char* label;
+    TaskGraph graph;
+    const char* scheduler;
+    bool skip_late_jobs;
+    std::vector<Task> tasks;
+    double total_energy;
+    double busy_time;
+  };
+  GraphNode phased = periodic("ctl", 100.0, 1'000.0);
+  phased.phase = 2'500.0;
+  const std::vector<Task> control = {
+      {40, 40, 0, 0, 0x1.a730000000001p+11, 0x1.0c2p+12, 0x1.e1ep+18},
+      {20, 20, 0, 0, 0x1.9d4p+12, 0x1.9d4p+12, 0x1.13ap+18},
+      {10, 10, 0, 0, 0x1.83ep+12, 0x1.83ep+12, 0x1.66e8p+17}};
+  const std::vector<Pinned> pinned = {
+      {"control edf", control_task_set("A_D_S"), "edf", true, control,
+       0x1.d47ap+19, 0x1.d47ap+17},
+      {"control fifo", control_task_set("A_D_S"), "fifo", true, control,
+       0x1.d47ap+19, 0x1.d47ap+17},
+      {"overload skip", overload_pair(20'000.0), "edf", true,
+       {{20, 0, 20, 0, 0, 0, 0x1.3cddaadde2aafp+16},
+        {20, 0, 20, 20, 0, 0, 0x0p+0}},
+       0x1.3cddaadde2aafp+16, 0x1.388p+14},
+      {"overload no skip", overload_pair(20'000.0), "edf", false,
+       {{20, 0, 20, 0, 0, 0, 0x1.3cddaadde2aafp+16},
+        {20, 0, 20, 0, 0, 0, 0x1.ecf8892c6eef6p+12}},
+       0x1.5bad3370a99a2p+16, 0x1.3880000000113p+14},
+      {"phase", task_set({phased}, 10'000.0), "edf", true,
+       {{8, 8, 0, 0, 0x1.78p+7, 0x1.78p+7, 0x1.78p+12}},
+       0x1.78p+12, 0x1.78p+10},
+  };
+  for (const auto& pin : pinned) {
+    SCOPED_TRACE(pin.label);
+    auto config = quiet_config();
+    config.seed = 0xC0DE;
+    config.scheduler = pin.scheduler;
+    config.skip_late_jobs = pin.skip_late_jobs;
+    const auto result = run_graph_executive(pin.graph, config);
+    ASSERT_EQ(result.per_node.size(), pin.tasks.size());
+    for (std::size_t n = 0; n < pin.tasks.size(); ++n) {
+      const auto& got = result.per_node[n];
+      const auto& want = pin.tasks[n];
+      SCOPED_TRACE(pin.graph.nodes[n].name);
+      EXPECT_EQ(got.released, want.released);
+      EXPECT_EQ(got.completed, want.completed);
+      EXPECT_EQ(got.missed, want.missed);
+      EXPECT_EQ(got.skipped, want.skipped);
+      if (want.completed > 0) {
+        EXPECT_EQ(got.response_time.mean(), want.response_mean);
+        EXPECT_EQ(got.response_time.max(), want.response_max);
+      } else {
+        EXPECT_TRUE(got.response_time.empty());
+      }
+      EXPECT_EQ(got.energy, want.energy);
+    }
+    EXPECT_EQ(result.total_energy, pin.total_energy);
+    EXPECT_EQ(result.busy_time, pin.busy_time);
   }
 }
 
-TEST(Executive, UnknownSchedulerRejected) {
-  sched::TaskSet set{{periodic("a", 100.0, 1'000.0)}};
-  sched::ExecutiveConfig config;
-  config.horizon = 2'000.0;
-  config.costs = model::CheckpointCosts::paper_scp_flavor();
+TEST(GraphExecutive, OwnPeriodNodeMatchesGraphPeriodNode) {
+  // One node released on its own period or with a graph of that period
+  // sees the same window, deadlines, admission order and job seeds
+  // (derive_seed(seed, k * nodes + node) with k its job number), so
+  // the two schedules agree bit for bit, faults included.
+  GraphNode alone = node("ctl", 700.0, 3);
+  alone.policy = "k-f-t";
+  TaskGraph graph_released;
+  graph_released.period = 1'000.0;
+  graph_released.add_node(alone);
+  const TaskGraph own_released =
+      task_set({periodic("ctl", 700.0, 1'000.0, "k-f-t")}, 1'000.0);
+
+  auto config = quiet_config(2e-3);
+  config.instances = 50;
+  const auto a = run_graph_executive(graph_released, config);
+  const auto b = run_graph_executive(own_released, config);
+  EXPECT_EQ(a.instances_released, 50);
+  EXPECT_EQ(b.instances_released, 50);
+  EXPECT_GT(a.instances_missed, 0);
+  EXPECT_EQ(a.instances_missed, b.instances_missed);
+  EXPECT_EQ(a.total_energy, b.total_energy);
+  EXPECT_EQ(a.total_faults, b.total_faults);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.per_node[0].response_time.mean(),
+            b.per_node[0].response_time.mean());
+}
+
+TEST(GraphExecutive, OwnPeriodNodesBesideAGraph) {
+  // A two-node chain released with the graph every 4000, beside a
+  // periodic node every 1000: each own-period job is a one-node
+  // instance of its own, and only the graph-period nodes join the
+  // whole-graph instances.
+  TaskGraph graph;
+  graph.period = 4'000.0;
+  graph.deadline = 3'000.0;
+  graph.add_node(node("head", 400.0));
+  graph.add_node(periodic("tick", 100.0, 1'000.0));
+  graph.add_node(node("tail", 400.0));
+  graph.add_edge("head", "tail");
+  auto config = quiet_config();
+  config.instances = 3;  // window [0, 12000)
+  const auto result = run_graph_executive(graph, config);
+  EXPECT_EQ(result.per_node[graph.node_index("head")].released, 3);
+  EXPECT_EQ(result.per_node[graph.node_index("tail")].released, 3);
+  EXPECT_EQ(result.per_node[graph.node_index("tick")].released, 12);
+  EXPECT_EQ(result.instances_released, 3 + 12);
+  EXPECT_EQ(result.instances_completed, 3 + 12);
+  // Precedence still holds inside the whole-graph instances.
+  EXPECT_LT(result.per_node[graph.node_index("head")].response_time.max(),
+            result.per_node[graph.node_index("tail")].response_time.min());
+}
+
+TEST(PeriodicNodes, SingleTaskFaultFreeCompletesEveryJob) {
+  const auto graph = task_set({periodic("ctl", 400.0, 1'000.0)}, 10'000.0);
+  const auto result = run_graph_executive(graph, quiet_config());
+  EXPECT_EQ(result.per_node[0].released, 10);
+  EXPECT_EQ(result.per_node[0].completed, 10);
+  EXPECT_EQ(result.per_node[0].missed, 0);
+  EXPECT_EQ(result.per_node[0].response_time.count(), 10u);
+  EXPECT_EQ(result.instances_completed, 10);
+  EXPECT_GT(result.total_energy, 0.0);
+}
+
+TEST(PeriodicNodes, PhaseDelaysFirstRelease) {
+  GraphNode task = periodic("ctl", 100.0, 1'000.0);
+  task.phase = 2'500.0;
+  const auto result =
+      run_graph_executive(task_set({task}, 10'000.0), quiet_config());
+  EXPECT_EQ(result.per_node[0].released, 8);  // 2500, 3500, ..., 9500
+  // The last job starts at its 9500 release, so the makespan is 9500
+  // plus one job's service time.
+  EXPECT_DOUBLE_EQ(result.makespan,
+                   9'500.0 + result.busy_time / 8.0);
+  // A window that ends at the phase releases nothing.
+  const auto empty =
+      run_graph_executive(task_set({task}, 2'500.0), quiet_config());
+  EXPECT_EQ(empty.per_node[0].released, 0);
+  EXPECT_EQ(empty.instances_released, 0);
+}
+
+TEST(PeriodicNodes, EdfPicksEarliestDeadlineWhereFifoKeepsAdmissionOrder) {
+  // Both release at 0: edf runs "tight" first (deadline 1000 < 4000),
+  // fifo keeps admission order (release, node index): "loose" first.
+  // The first job runs from 0, so its response is one service time;
+  // the other waits for it.
+  const auto graph = task_set({periodic("loose", 200.0, 4'000.0),
+                               periodic("tight", 200.0, 1'000.0)},
+                              4'000.0);
+  auto config = quiet_config();
+  config.scheduler = "edf";
+  const auto edf = run_graph_executive(graph, config);
+  EXPECT_LT(edf.per_node[1].response_time.max(),
+            edf.per_node[0].response_time.min());
+
+  config.scheduler = "fifo";
+  const auto fifo = run_graph_executive(graph, config);
+  EXPECT_LT(fifo.per_node[0].response_time.max(),
+            fifo.per_node[1].response_time.max());
+  EXPECT_DOUBLE_EQ(fifo.per_node[1].response_time.max(),
+                   edf.per_node[0].response_time.min());
+}
+
+TEST(PeriodicNodes, SimultaneousReleaseDeadlineTieBreaksByNodeIndex) {
+  // Identical periods and deadlines: every policy key ties, so the
+  // admission sequence (release, then node index) decides: node 0
+  // runs first in every period and never waits.
+  const auto graph = task_set({periodic("b_second", 100.0, 1'000.0),
+                               periodic("a_first", 100.0, 1'000.0)},
+                              2'000.0);
+  for (const auto& scheduler : sched::known_schedulers()) {
+    auto config = quiet_config();
+    config.scheduler = scheduler;
+    const auto result = run_graph_executive(graph, config);
+    SCOPED_TRACE(scheduler);
+    ASSERT_EQ(result.per_node[0].completed, 2);
+    ASSERT_EQ(result.per_node[1].completed, 2);
+    EXPECT_LT(result.per_node[0].response_time.max(),
+              result.per_node[1].response_time.min());
+  }
+}
+
+TEST(PeriodicNodes, NonPreemptiveBlockingDelaysButMeetsDeadlines) {
+  // A long job blocks a short one; with enough slack both complete.
+  GraphNode short_task = periodic("short", 100.0, 2'000.0);
+  short_task.phase = 10.0;  // releases just after the long job starts
+  const auto result = run_graph_executive(
+      task_set({periodic("long", 900.0, 4'000.0), short_task}, 4'000.0),
+      quiet_config());
+  for (const auto& stats : result.per_node) EXPECT_EQ(stats.missed, 0);
+  // The short job's response time includes the blocking.
+  EXPECT_GT(result.per_node[1].response_time.max(), 900.0);
+}
+
+TEST(PeriodicNodes, OverloadProducesMissesAndSkips) {
+  // Utilization ~ 1.6: the executive must fall behind and skip jobs.
+  const auto result =
+      run_graph_executive(overload_pair(20'000.0), quiet_config());
+  EXPECT_GT(result.per_node[0].missed + result.per_node[1].missed, 0);
+  EXPECT_GT(result.per_node[0].skipped + result.per_node[1].skipped, 0);
+}
+
+TEST(PeriodicNodes, SkipLateJobsOffStartsThemAnyway) {
+  auto config = quiet_config();
+  config.skip_late_jobs = false;
+  const auto result = run_graph_executive(overload_pair(10'000.0), config);
+  for (const auto& stats : result.per_node) EXPECT_EQ(stats.skipped, 0);
+}
+
+TEST(PeriodicNodes, FaultsCauseMissesAtHighLoad) {
+  const auto graph =
+      task_set({periodic("ctl", 700.0, 1'000.0, "k-f-t")}, 50'000.0);
+  const auto clean = run_graph_executive(graph, quiet_config(0.0));
+  const auto faulty = run_graph_executive(graph, quiet_config(2e-3));
+  EXPECT_EQ(clean.per_node[0].missed, 0);
+  EXPECT_GT(faulty.per_node[0].missed, clean.per_node[0].missed);
+  EXPECT_GT(faulty.instance_miss_ratio(), 0.0);
+}
+
+TEST(PeriodicNodes, AdaptiveSchemeBeatsFixedUnderFaults) {
+  const double lambda = 1.6e-3;
+  const auto fixed = run_graph_executive(
+      task_set({periodic("ctl", 700.0, 1'000.0, "k-f-t")}, 50'000.0),
+      quiet_config(lambda));
+  const auto adaptive = run_graph_executive(
+      task_set({periodic("ctl", 700.0, 1'000.0, "A_D_S")}, 50'000.0),
+      quiet_config(lambda));
+  EXPECT_LT(adaptive.instance_miss_ratio(), fixed.instance_miss_ratio());
+}
+
+TEST(PeriodicNodes, DeterministicPerSeed) {
+  const auto graph = task_set({periodic("a", 400.0, 1'000.0),
+                               periodic("b", 700.0, 3'000.0)},
+                              30'000.0);
+  auto config = quiet_config(1e-3);
+  const auto r1 = run_graph_executive(graph, config);
+  const auto r2 = run_graph_executive(graph, config);
+  EXPECT_EQ(r1.total_energy, r2.total_energy);
+  EXPECT_EQ(r1.instances_released, r2.instances_released);
+  config.seed += 1;
+  const auto r3 = run_graph_executive(graph, config);
+  EXPECT_NE(r1.total_energy, r3.total_energy);
+}
+
+TEST(PeriodicNodes, ConfigValidation) {
+  const auto graph = task_set({periodic("a", 10.0, 100.0)}, 100.0);
+  auto config = quiet_config();
+  config.instances = 0;  // an empty window
+  EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+  config = quiet_config();
+  config.speed_ratio = 1.0;
+  EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+  config = quiet_config();
   config.scheduler = "round-robin";
-  EXPECT_THROW(run_executive(set, config), std::invalid_argument);
+  EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+}
+
+TEST(PeriodicNodes, EnergyAccountingConsistent) {
+  const auto graph = task_set({periodic("a", 400.0, 1'000.0),
+                               periodic("b", 300.0, 2'000.0)},
+                              10'000.0);
+  const auto result = run_graph_executive(graph, quiet_config(1e-3));
+  EXPECT_NEAR(result.per_node[0].energy + result.per_node[1].energy,
+              result.total_energy, 1e-6);
+  EXPECT_GT(result.per_node[1].energy, 0.0);
 }
 
 // --- graph executive -----------------------------------------------------

@@ -360,6 +360,29 @@ TEST(ScenarioParse, GraphDefaultsAndBinding) {
   EXPECT_NO_THROW(spec.validate());
 }
 
+TEST(ScenarioParse, GraphNodeOwnReleaseStream) {
+  const auto scenario = parse_scenario_text(R"json({
+    "schema": "adacheck-scenario-v1", "name": "tasks",
+    "graphs": [
+      {"id": "tasks", "schedulers": ["edf"], "lambdas": [1e-3],
+       "instances": 10,
+       "graph": {"period": 40000,
+                 "nodes": [{"name": "a", "cycles": 2600, "period": 10000,
+                            "deadline": 6000},
+                           {"name": "t", "cycles": 4000, "period": 40000,
+                            "phase": 5000},
+                           {"name": "g", "cycles": 100}]}}
+    ]})json");
+  const auto& nodes = scenario.graphs[0].graph.nodes;
+  ASSERT_EQ(nodes.size(), 3u);
+  EXPECT_DOUBLE_EQ(nodes[0].period, 10'000.0);
+  EXPECT_DOUBLE_EQ(nodes[0].relative_deadline(), 6'000.0);
+  EXPECT_DOUBLE_EQ(nodes[0].phase, 0.0);
+  EXPECT_DOUBLE_EQ(nodes[1].relative_deadline(), 40'000.0);  // implicit
+  EXPECT_DOUBLE_EQ(nodes[1].phase, 5'000.0);
+  EXPECT_FALSE(nodes[2].own_period());  // released with the graph
+}
+
 TEST(ScenarioBind, GraphEnvironmentAxisExpandsLikeExperiments) {
   auto scenario = parse_scenario_text(kGraphScenario);
   scenario.graphs[0].environments = {"poisson", "bursty-orbit"};
@@ -622,6 +645,45 @@ TEST(ScenarioErrors, GraphViolations) {
                            {"from": "b", "to": "a"}]}}
     ]})json",
                         "graphs[0].graph", "cycle: a -> b -> a");
+  // A node's own release stream: each key checked at its path.
+  const auto node_error = [](const char* node, const char* at,
+                             const char* message) {
+    expect_scenario_error(
+        std::string(R"json({
+    "schema": "adacheck-scenario-v1", "name": "x",
+    "graphs": [
+      {"id": "g", "schedulers": ["edf"], "lambdas": [1e-3],
+       "graph": {"period": 100, "nodes": [)json") +
+            node + "]}}]}",
+        at, message);
+  };
+  node_error(R"({"name": "a", "cycles": 10, "period": 0})",
+             "graphs[0].graph.nodes[0].period", "must be > 0");
+  node_error(R"({"name": "a", "cycles": 10, "period": 50, "deadline": 60})",
+             "graphs[0].graph.nodes[0].deadline",
+             "must be <= the node period");
+  node_error(R"({"name": "a", "cycles": 10, "deadline": 60})",
+             "graphs[0].graph.nodes[0].deadline", "needs a node \"period\"");
+  node_error(R"({"name": "a", "cycles": 10, "period": 50, "phase": -1})",
+             "graphs[0].graph.nodes[0].phase", "must be >= 0");
+  node_error(R"({"name": "a", "cycles": 10, "phase": 5})",
+             "graphs[0].graph.nodes[0].phase", "needs a node \"period\"");
+  node_error(R"({"name": "a", "cycles": 10, "period": "fast"})",
+             "graphs[0].graph.nodes[0].period", "");
+  node_error(R"({"name": "a", "cycles": 10, "period": 1e-5})",
+             "graphs[0].graph.nodes[0].period", "more than 1e6 jobs");
+  // An own-period node takes no edges.
+  expect_scenario_error(R"json({
+    "schema": "adacheck-scenario-v1", "name": "x",
+    "graphs": [
+      {"id": "g", "schedulers": ["edf"], "lambdas": [1e-3],
+       "graph": {"period": 100,
+                 "nodes": [{"name": "a", "cycles": 10},
+                           {"name": "b", "cycles": 10, "period": 50}],
+                 "edges": [{"from": "a", "to": "b"}]}}
+    ]})json",
+                        "graphs[0].graph",
+                        "node \"b\" has its own period");
   // Ids must be unique across experiments and graphs together.
   expect_scenario_error(R"json({
     "schema": "adacheck-scenario-v1", "name": "x",

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "adacheck_process.hpp"
 #include "util/canonical_json.hpp"
 #include "util/json.hpp"
 
@@ -40,33 +40,20 @@ namespace fs = std::filesystem;
 
 using Manifest = std::map<std::string, std::string>;  // artifact -> hash
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
-}
+using testutil::quoted;
+using testutil::read_file;
 
 std::string hash_file(const fs::path& path) {
   return util::content_hash128(read_file(path)).hex();
 }
 
-std::string quoted(const fs::path& path) {
-  std::string text = "'";
-  text += path.string();
-  text += '\'';
-  return text;
-}
-
 /// Runs adacheck in `dir`, so the relative cache path a campaign
 /// report records is the same on every machine.
 void run_adacheck(const fs::path& dir, const std::string& args) {
-  const std::string command = "cd " + quoted(dir) + " && " +
-                              quoted(ADACHECK_BIN) + " " + args +
-                              " --quiet --no-perf";
-  if (std::system(command.c_str()) != 0) {
-    throw std::runtime_error("adacheck failed: " + command);
+  const auto result =
+      testutil::run_adacheck(dir, args + " --quiet --no-perf");
+  if (result.code != 0) {
+    throw std::runtime_error("adacheck " + args + " failed:\n" + result.err);
   }
 }
 

@@ -583,6 +583,7 @@ TEST_F(ServeServerTest, SubmitStatusStreamRoundTrip) {
   client.send_line(R"({"req": "stream", "job": 1})");
   const auto opening = util::json::parse(client.recv_line().value());
   EXPECT_TRUE(opening.find("ok")->as_bool());
+  EXPECT_EQ(opening.find("req")->as_string(), "stream");
   std::string bytes;
   for (;;) {
     const auto line = client.recv_line();

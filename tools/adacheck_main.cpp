@@ -890,8 +890,14 @@ int cmd_submit(const util::CliArgs& args) {
                 << "\n";
       return 1;
     }
-    const std::uint64_t job = static_cast<std::uint64_t>(
-        response.find("job")->as_int());
+    // A reply this client cannot read is an error, never a crash.
+    const auto malformed = [](const std::string& line) {
+      std::cerr << "submit: malformed reply: " << line << "\n";
+      return 1;
+    };
+    const util::json::Value* job_id = response.find("job");
+    if (job_id == nullptr || !job_id->is_number()) return malformed(*reply);
+    const std::uint64_t job = static_cast<std::uint64_t>(job_id->as_int());
     std::cerr << "submitted job " << job << " to " << host << ":" << port
               << "\n";
     if (!args.get_bool("follow", false)) {
@@ -910,7 +916,8 @@ int cmd_submit(const util::CliArgs& args) {
     }
     const auto opened = util::json::parse(*opening);
     const util::json::Value* stream_ok = opened.find("ok");
-    if (stream_ok == nullptr || !stream_ok->as_bool()) {
+    if (stream_ok == nullptr || !stream_ok->is_bool() ||
+        !stream_ok->as_bool()) {
       std::cerr << "stream: " << *opening << "\n";
       return 1;
     }
@@ -922,7 +929,11 @@ int cmd_submit(const util::CliArgs& args) {
       }
       if (line->starts_with("{\"schema\":\"adacheck-serve-eot-v1\"")) {
         const auto eot = util::json::parse(*line);
-        const std::string state = eot.find("state")->as_string();
+        const util::json::Value* eot_state = eot.find("state");
+        if (eot_state == nullptr || !eot_state->is_string()) {
+          return malformed(*line);
+        }
+        const std::string& state = eot_state->as_string();
         std::cerr << "job " << job << " " << state << "\n";
         return state == "done" ? 0 : 1;
       }

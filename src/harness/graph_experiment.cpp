@@ -6,7 +6,6 @@
 
 #include "model/fault_env.hpp"
 #include "obs/trace.hpp"
-#include "sched/graph_executive.hpp"
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -173,6 +172,26 @@ class GraphMetricsRecorder final : public sim::IMetricRecorder {
   std::vector<NodeAccumulators> per_node_;
 };
 
+}  // namespace
+
+sched::GraphExecutiveConfig graph_executive_config(
+    const GraphExperimentSpec& spec, double lambda,
+    const std::string& scheduler) {
+  sched::GraphExecutiveConfig exec;
+  exec.instances = spec.instances;
+  exec.skip_late_jobs = spec.skip_late_jobs;
+  exec.workers = spec.workers;
+  exec.scheduler = scheduler;
+  exec.costs = spec.costs;
+  exec.fault_model = model::FaultModel{lambda, false};
+  exec.environment = model::find_environment(spec.environment);
+  exec.speed_ratio = spec.speed_ratio;
+  exec.voltage = spec.voltage;
+  return exec;
+}
+
+namespace {
+
 /// The chunk runner for one (lambda, scheduler) cell: replays the
 /// graph executive once per run index, synthesizing a RunResult so the
 /// built-in CellStats recorder (and the budget evaluator) see the cell
@@ -188,31 +207,16 @@ sim::MetricSet run_graph_chunk(const GraphExperimentSpec& spec, double lambda,
   recorders.push_back(std::make_unique<GraphMetricsRecorder>(spec.graph));
   auto metrics = sim::MetricSet::from_recorders(std::move(recorders));
 
-  sched::GraphExecutiveConfig exec;
-  exec.instances = spec.instances;
-  exec.skip_late_jobs = spec.skip_late_jobs;
-  exec.workers = spec.workers;
-  exec.scheduler = scheduler;
-  exec.costs = spec.costs;
-  exec.fault_model = model::FaultModel{lambda, false};
-  exec.environment = model::find_environment(spec.environment);
-  exec.speed_ratio = spec.speed_ratio;
-  exec.voltage = spec.voltage;
   const bool tracing = obs::Tracer::instance().enabled();
 
-  // Recorders read nothing from the setup (base_frequency rides the
-  // view); this placeholder just satisfies the RunView reference.
-  const sim::SimSetup context(
-      model::TaskSpec{spec.graph.critical_path_cycles(),
-                      spec.graph.end_to_end_deadline(), 0.0, 0, spec.id},
-      spec.costs,
-      model::DvsProcessor::two_speed(spec.speed_ratio, spec.voltage),
-      model::FaultModel{lambda, false}, exec.environment);
+  // One prepared executive for the whole chunk.
+  sched::GraphExecutive executive(
+      spec.graph, graph_executive_config(spec, lambda, scheduler));
   for (int i = begin; i < end; ++i) {
-    exec.seed = util::derive_seed(config.seed, static_cast<std::uint64_t>(i));
     // One exemplar schedule per cell in the trace: run 0's spans.
-    exec.trace = tracing && i == 0;
-    const auto schedule = sched::run_graph_executive(spec.graph, exec);
+    const auto& schedule = executive.run(
+        util::derive_seed(config.seed, static_cast<std::uint64_t>(i)),
+        tracing && i == 0);
 
     sim::RunResult run;
     run.outcome = schedule.instances_missed == 0
@@ -226,7 +230,9 @@ sim::MetricSet run_graph_chunk(const GraphExperimentSpec& spec, double lambda,
 
     GraphRunDetail detail;
     detail.schedule = &schedule;
-    metrics.observe({context, run, 1.0, false, &detail});
+    // Recorders read nothing from the setup (base_frequency rides the
+    // view); the executive's bound one satisfies the reference.
+    metrics.observe({executive.setup(), run, 1.0, false, &detail});
   }
   return metrics;
 }

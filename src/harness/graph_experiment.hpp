@@ -22,6 +22,7 @@
 #include "harness/experiment.hpp"
 #include "model/checkpoint.hpp"
 #include "model/speed.hpp"
+#include "sched/graph_executive.hpp"
 #include "sched/task_graph.hpp"
 #include "sim/monte_carlo.hpp"
 
@@ -64,6 +65,13 @@ std::vector<GraphExperimentSpec> graphs_with_environments(
 /// scheduler columns of one row see paired fault draws — policy deltas
 /// are never seed noise.  Distinct from cell_seed's domain.
 std::uint64_t graph_cell_seed(std::uint64_t master, std::size_t row) noexcept;
+
+/// The graph executive configuration of the (lambda, scheduler) cell;
+/// its seed and trace flag are left at their defaults (they vary per
+/// run).
+sched::GraphExecutiveConfig graph_executive_config(
+    const GraphExperimentSpec& spec, double lambda,
+    const std::string& scheduler);
 
 /// The flat Monte-Carlo job list for every (lambda, scheduler) cell in
 /// row-major order; each job carries a ChunkRunner driving the graph

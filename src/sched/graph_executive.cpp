@@ -67,11 +67,11 @@ enum class NodeState {
   kAbsent, kWaiting, kReady, kBlocked, kRunning, kDone, kSkipped
 };
 
+/// One release's instance; its per-node deps_left and state live in
+/// the executive's release x node tables, row `slot`.
 struct InstanceState {
   double release = 0.0;
   double absolute_deadline = 0.0;
-  std::vector<int> deps_left;
-  std::vector<NodeState> state;
   int nodes = 0;  ///< member count
   int nodes_done = 0;
   bool abandoned = false;
@@ -97,9 +97,10 @@ struct BlockedJob {
   double dispatch = 0.0;
 };
 
+/// A worker lane's running job (a lane runs at most one).
 struct RunningJob {
+  bool active = false;
   NodeJob job;
-  int worker = 0;
   double dispatch = 0.0;
   double acquire = 0.0;
   double finish = 0.0;
@@ -110,379 +111,497 @@ std::uint64_t micros(double t) {
   return static_cast<std::uint64_t>(std::max(t, 0.0) * 1e6);
 }
 
-}  // namespace
-
-GraphScheduleResult run_graph_executive(const TaskGraph& graph,
-                                        const GraphExecutiveConfig& config) {
+const TaskGraph& validated(const TaskGraph& graph,
+                           const GraphExecutiveConfig& config) {
   graph.validate();
   config.validate();
+  return graph;
+}
 
-  const std::size_t node_count = graph.nodes.size();
-  const double e2e = graph.end_to_end_deadline();
-  const auto paths = graph.downstream_path_cycles();
-  const auto processor =
-      model::DvsProcessor::two_speed(config.speed_ratio, config.voltage);
-  const auto scheduler = make_scheduler(config.scheduler);
-  const bool telemetry = obs::Registry::instance().enabled();
-  const bool tracing = config.trace && obs::Tracer::instance().enabled();
+}  // namespace
 
-  std::vector<int> indegree(node_count, 0);
-  std::vector<std::vector<std::size_t>> successors(node_count);
-  for (const auto& edge : graph.edges) {
-    successors[edge.from].push_back(edge.to);
-    ++indegree[edge.to];
+class GraphExecutive::Impl {
+ public:
+  Impl(const TaskGraph& graph, const GraphExecutiveConfig& config);
+
+  const GraphScheduleResult& run(std::uint64_t seed, bool trace);
+  const sim::SimSetup& setup() const { return setup_; }
+
+ private:
+  NodeState& state(std::size_t slot, std::size_t node) {
+    return state_[slot * node_count_ + node];
+  }
+  int& deps_left(std::size_t slot, std::size_t node) {
+    return deps_left_[slot * node_count_ + node];
+  }
+
+  bool policy_order(const DispatchCandidate& a,
+                    const DispatchCandidate& b) const;
+  bool can_acquire(std::size_t node) const;
+  void acquire(std::size_t node);
+  void release_resources(std::size_t node);
+  void free_worker(int worker);
+  void skip_node(std::size_t slot, std::size_t node);
+  void abandon_instance(std::size_t slot);
+  void execute(const NodeJob& job, int worker, double dispatch,
+               double acquire_time);
+  void start_work();
+  void admit_releases();
+  void complete_finished();
+
+  // Prepared once: the graph, its derived tables and release list, the
+  // scheduler, the bound job setup and one policy per node.
+  const TaskGraph graph_;
+  const std::size_t node_count_;
+  const int workers_;
+  const bool skip_late_jobs_;
+  const double e2e_;
+  const std::vector<double> paths_;
+  std::vector<int> indegree_;
+  std::vector<std::vector<std::size_t>> successors_;
+  std::vector<Release> releases_;
+  const std::unique_ptr<ISchedulerPolicy> scheduler_;
+  /// Only the task (cycles, slack deadline, k, name) changes per job.
+  sim::SimSetup setup_;
+  // One checkpoint policy per node, re-armed before each of its jobs:
+  // reset() makes it act as newly constructed, and the adaptive
+  // schemes keep their m-search memo across the node's jobs.
+  std::vector<std::unique_ptr<sim::ICheckpointPolicy>> node_policies_;
+
+  // Working state, sized here and reset by every run().
+  std::vector<InstanceState> instances_;  ///< per release slot
+  std::vector<int> deps_left_;            ///< release slot x node
+  std::vector<NodeState> state_;          ///< release slot x node
+  std::vector<char> worker_busy_;
+  std::vector<int> available_;
+  std::vector<NodeJob> ready_;
+  std::vector<BlockedJob> blocked_;
+  std::vector<RunningJob> running_;  ///< per worker lane
+  GraphScheduleResult result_;
+  std::uint64_t seed_ = 0;
+  bool telemetry_ = false;
+  bool tracing_ = false;
+  int free_workers_ = 0;
+  std::uint64_t sequence_ = 0;
+  std::size_t next_release_ = 0;
+  double now_ = 0.0;
+};
+
+GraphExecutive::Impl::Impl(const TaskGraph& graph,
+                           const GraphExecutiveConfig& config)
+    : graph_(validated(graph, config)),
+      node_count_(graph_.nodes.size()),
+      workers_(config.workers),
+      skip_late_jobs_(config.skip_late_jobs),
+      e2e_(graph_.end_to_end_deadline()),
+      paths_(graph_.downstream_path_cycles()),
+      indegree_(node_count_, 0),
+      successors_(node_count_),
+      scheduler_(make_scheduler(config.scheduler)),
+      setup_(model::TaskSpec{}, config.costs,
+             model::DvsProcessor::two_speed(config.speed_ratio,
+                                            config.voltage),
+             config.fault_model, config.environment),
+      node_policies_(node_count_) {
+  for (const auto& edge : graph_.edges) {
+    successors_[edge.from].push_back(edge.to);
+    ++indegree_[edge.to];
+  }
+  for (std::size_t n = 0; n < node_count_; ++n) {
+    try {
+      node_policies_[n] = policy::make_policy(graph_.nodes[n].policy);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("GraphExecutive: node \"" +
+                                  graph_.nodes[n].name + "\": " + e.what());
+    }
   }
 
   // Every release in the window [0, instances * period), sorted by
   // (time, rank): the admission order, so sequence numbers and with
   // them every policy tie-break follow it.
-  const double window = static_cast<double>(config.instances) * graph.period;
-  std::vector<Release> releases;
-  // Sized for the whole-graph releases up front: regrowing it in every
-  // run measurably slows multi-threaded graph sweeps.
-  releases.reserve(static_cast<std::size_t>(config.instances));
-  if (std::any_of(graph.nodes.begin(), graph.nodes.end(),
-                  [](const GraphNode& node) { return !node.own_period(); })) {
+  // node_jobs counts the node jobs of the window: the ready list's bound.
+  const double window = static_cast<double>(config.instances) * graph_.period;
+  const auto graph_nodes = static_cast<std::size_t>(
+      std::count_if(graph_.nodes.begin(), graph_.nodes.end(),
+                    [](const GraphNode& node) { return !node.own_period(); }));
+  std::size_t node_jobs = 0;
+  if (graph_nodes > 0) {
     for (int k = 0; k < config.instances; ++k) {
-      releases.push_back(
-          {static_cast<double>(k) * graph.period, Release::kWholeGraph, k});
+      releases_.push_back(
+          {static_cast<double>(k) * graph_.period, Release::kWholeGraph, k});
+      node_jobs += graph_nodes;
     }
   }
-  for (std::size_t n = 0; n < node_count; ++n) {
-    const auto& node = graph.nodes[n];
+  for (std::size_t n = 0; n < node_count_; ++n) {
+    const auto& node = graph_.nodes[n];
     if (!node.own_period()) continue;
     for (int j = 0;; ++j) {
       const double time = node.phase + static_cast<double>(j) * node.period;
       if (time >= window) break;
-      releases.push_back({time, n + 1, j});
+      releases_.push_back({time, n + 1, j});
+      ++node_jobs;
     }
   }
-  std::sort(releases.begin(), releases.end(),
+  std::sort(releases_.begin(), releases_.end(),
             [](const Release& a, const Release& b) {
               if (a.time != b.time) return a.time < b.time;
               return a.rank < b.rank;
             });
 
-  GraphScheduleResult result;
-  result.per_node.resize(node_count);
+  // Every buffer at its bound, so no run() regrows one: the ready
+  // list holds at most every node job, the blocked list at most one
+  // job per worker.
+  const auto lanes = static_cast<std::size_t>(workers_);
+  instances_.resize(releases_.size());
+  deps_left_.resize(releases_.size() * node_count_);
+  state_.resize(releases_.size() * node_count_);
+  worker_busy_.resize(lanes);
+  available_.resize(graph_.resources.size());
+  ready_.reserve(node_jobs);
+  blocked_.reserve(lanes);
+  running_.resize(lanes);
+  result_.per_node.resize(node_count_);
+}
 
-  std::vector<InstanceState> instances(releases.size());
-  std::vector<bool> worker_busy(static_cast<std::size_t>(config.workers),
-                                false);
-  int free_workers = config.workers;
-  std::vector<int> available(graph.resources.size());
-  for (std::size_t r = 0; r < graph.resources.size(); ++r) {
-    available[r] = graph.resources[r].capacity;
+bool GraphExecutive::Impl::policy_order(const DispatchCandidate& a,
+                                        const DispatchCandidate& b) const {
+  const double ka = scheduler_->priority_key(a, now_);
+  const double kb = scheduler_->priority_key(b, now_);
+  if (ka != kb) return ka < kb;
+  return a.sequence < b.sequence;
+}
+
+bool GraphExecutive::Impl::can_acquire(std::size_t node) const {
+  for (const std::size_t r : graph_.nodes[node].resources) {
+    if (available_[r] < 1) return false;
   }
+  return true;
+}
 
-  std::vector<NodeJob> ready;
-  std::vector<BlockedJob> blocked;
-  std::vector<RunningJob> running;
-  std::vector<RunningJob> finished;  // complete_finished's scratch
-  // One checkpoint policy per node, re-armed before each of its jobs:
-  // reset() makes it act as newly constructed, and the adaptive
-  // schemes keep their m-search memo across the node's jobs.
-  std::vector<std::unique_ptr<sim::ICheckpointPolicy>> node_policies(
-      node_count);
-  std::uint64_t sequence = 0;
-  std::size_t next_release = 0;
-  double now = 0.0;
+void GraphExecutive::Impl::acquire(std::size_t node) {
+  for (const std::size_t r : graph_.nodes[node].resources) --available_[r];
+}
 
-  const auto policy_order = [&](const DispatchCandidate& a,
-                                const DispatchCandidate& b) {
-    const double ka = scheduler->priority_key(a, now);
-    const double kb = scheduler->priority_key(b, now);
-    if (ka != kb) return ka < kb;
-    return a.sequence < b.sequence;
-  };
+void GraphExecutive::Impl::release_resources(std::size_t node) {
+  for (const std::size_t r : graph_.nodes[node].resources) ++available_[r];
+}
 
-  const auto can_acquire = [&](std::size_t node) {
-    for (const std::size_t r : graph.nodes[node].resources) {
-      if (available[r] < 1) return false;
+void GraphExecutive::Impl::free_worker(int worker) {
+  worker_busy_[static_cast<std::size_t>(worker)] = 0;
+  ++free_workers_;
+}
+
+void GraphExecutive::Impl::skip_node(std::size_t slot, std::size_t node) {
+  state(slot, node) = NodeState::kSkipped;
+  ++result_.per_node[node].skipped;
+  ++result_.per_node[node].missed;
+  if (telemetry_) SchedMetrics::get().missed.add(1);
+}
+
+// Late or failed node: the instance cannot meet its end-to-end
+// deadline, so every node not yet done or running is skipped — blocked
+// ones free their workers, ready ones are dropped from the queue.
+// Running nodes finish normally (non-preemptive lanes).
+void GraphExecutive::Impl::abandon_instance(std::size_t slot) {
+  auto& inst = instances_[slot];
+  if (inst.abandoned) return;
+  inst.abandoned = true;
+  ++result_.instances_missed;
+  for (std::size_t n = 0; n < node_count_; ++n) {
+    if (state(slot, n) == NodeState::kWaiting ||
+        state(slot, n) == NodeState::kReady) {
+      skip_node(slot, n);
     }
-    return true;
-  };
-  const auto acquire = [&](std::size_t node) {
-    for (const std::size_t r : graph.nodes[node].resources) --available[r];
-  };
-  const auto release_resources = [&](std::size_t node) {
-    for (const std::size_t r : graph.nodes[node].resources) ++available[r];
-  };
-
-  const auto skip_node = [&](const NodeJob& job) {
-    auto& inst = instances[job.slot];
-    inst.state[job.node] = NodeState::kSkipped;
-    ++result.per_node[job.node].skipped;
-    ++result.per_node[job.node].missed;
-    if (telemetry) SchedMetrics::get().missed.add(1);
-  };
-
-  // Late or failed node: the instance cannot meet its end-to-end
-  // deadline, so every node not yet done or running is skipped —
-  // blocked ones free their workers, ready ones are dropped from the
-  // queue.  Running nodes finish normally (non-preemptive lanes).
-  const auto abandon_instance = [&](std::size_t slot) {
-    auto& inst = instances[slot];
-    if (inst.abandoned) return;
-    inst.abandoned = true;
-    ++result.instances_missed;
-    for (std::size_t n = 0; n < node_count; ++n) {
-      if (inst.state[n] == NodeState::kWaiting ||
-          inst.state[n] == NodeState::kReady) {
-        NodeJob job;
-        job.node = n;
-        job.slot = slot;
-        skip_node(job);
-      }
-    }
-    ready.erase(std::remove_if(ready.begin(), ready.end(),
-                               [&](const NodeJob& job) {
-                                 return job.slot == slot;
-                               }),
-                ready.end());
-    for (auto it = blocked.begin(); it != blocked.end();) {
-      if (it->job.slot == slot) {
-        skip_node(it->job);
-        worker_busy[static_cast<std::size_t>(it->worker)] = false;
-        ++free_workers;
-        it = blocked.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  // Runs the node's paper-model job the moment it holds its resources.
-  const auto execute = [&](const NodeJob& job, int worker, double dispatch,
-                           double acquire_time) {
-    const auto& node = graph.nodes[job.node];
-    instances[job.slot].state[job.node] = NodeState::kRunning;
-    const double blocking = acquire_time - dispatch;
-    result.per_node[job.node].blocking_time.add(blocking);
-    result.total_blocking += blocking;
-    if (tracing && blocking > 0.0) {
-      obs::Tracer::instance().complete("blocked:" + node.name, "dag",
-                                       micros(dispatch), micros(blocking),
-                                       worker);
-    }
-
-    const double slack = job.absolute_deadline - acquire_time;
-    sim::SimSetup setup{
-        model::TaskSpec{node.cycles, std::max(slack, 1e-9), 0.0,
-                        node.fault_tolerance, node.name},
-        config.costs, processor, config.fault_model, config.environment};
-    auto& checkpoint_policy = node_policies[job.node];
-    if (!checkpoint_policy || !checkpoint_policy->reset()) {
-      checkpoint_policy = policy::make_policy(node.policy);
-    }
-    const std::uint64_t seed = util::derive_seed(
-        config.seed,
-        static_cast<std::uint64_t>(job.instance) * node_count + job.node);
-    RunningJob entry;
-    entry.job = job;
-    entry.worker = worker;
-    entry.dispatch = dispatch;
-    entry.acquire = acquire_time;
-    entry.run = sim::simulate_seeded(setup, *checkpoint_policy, seed);
-    entry.finish = acquire_time + entry.run.finish_time;
-    running.push_back(std::move(entry));
-  };
-
-  // Blocked-node acquisition retries then ready-queue dispatch, both
-  // in policy order; the pinned scheduling point after completions and
-  // releases at each event time.
-  const auto start_work = [&] {
-    std::sort(blocked.begin(), blocked.end(),
-              [&](const BlockedJob& a, const BlockedJob& b) {
-                return policy_order(a.job, b.job);
-              });
-    for (auto it = blocked.begin(); it != blocked.end();) {
-      const double slack = it->job.absolute_deadline - now;
-      if (config.skip_late_jobs && slack <= 0.0) {
-        skip_node(it->job);
-        worker_busy[static_cast<std::size_t>(it->worker)] = false;
-        ++free_workers;
-        const std::size_t slot = it->job.slot;
-        blocked.erase(it);
-        // abandon_instance erases this instance's remaining blocked
-        // entries itself; restart (erase kept the policy order).
-        abandon_instance(slot);
-        it = blocked.begin();
-        continue;
-      }
-      if (can_acquire(it->job.node)) {
-        acquire(it->job.node);
-        const BlockedJob entry = *it;
-        it = blocked.erase(it);
-        execute(entry.job, entry.worker, entry.dispatch, now);
-        continue;
-      }
+  }
+  ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
+                              [&](const NodeJob& job) {
+                                return job.slot == slot;
+                              }),
+               ready_.end());
+  for (auto it = blocked_.begin(); it != blocked_.end();) {
+    if (it->job.slot == slot) {
+      skip_node(slot, it->job.node);
+      free_worker(it->worker);
+      it = blocked_.erase(it);
+    } else {
       ++it;
     }
+  }
+}
 
-    while (free_workers > 0 && !ready.empty()) {
-      const auto best =
-          std::min_element(ready.begin(), ready.end(), policy_order);
-      const NodeJob job = *best;
-      ready.erase(best);
-      const double slack = job.absolute_deadline - now;
-      if (config.skip_late_jobs && slack <= 0.0) {
-        skip_node(job);
-        abandon_instance(job.slot);
+// Runs the node's paper-model job the moment it holds its resources.
+void GraphExecutive::Impl::execute(const NodeJob& job, int worker,
+                                   double dispatch, double acquire_time) {
+  const auto& node = graph_.nodes[job.node];
+  state(job.slot, job.node) = NodeState::kRunning;
+  const double blocking = acquire_time - dispatch;
+  result_.per_node[job.node].blocking_time.add(blocking);
+  result_.total_blocking += blocking;
+  if (tracing_ && blocking > 0.0) {
+    obs::Tracer::instance().complete("blocked:" + node.name, "dag",
+                                     micros(dispatch), micros(blocking),
+                                     worker);
+  }
+
+  const double slack = job.absolute_deadline - acquire_time;
+  auto& task = setup_.task;
+  task.cycles = node.cycles;
+  task.deadline = std::max(slack, 1e-9);
+  task.fault_tolerance = node.fault_tolerance;
+  task.name = node.name;
+  auto& checkpoint_policy = node_policies_[job.node];
+  if (!checkpoint_policy->reset()) {
+    checkpoint_policy = policy::make_policy(node.policy);
+  }
+  const std::uint64_t seed = util::derive_seed(
+      seed_,
+      static_cast<std::uint64_t>(job.instance) * node_count_ + job.node);
+  auto& entry = running_[static_cast<std::size_t>(worker)];
+  entry.active = true;
+  entry.job = job;
+  entry.dispatch = dispatch;
+  entry.acquire = acquire_time;
+  // The graph, the config and with them every field of the setup were
+  // validated at construction; the slack deadline is kept positive.
+  entry.run =
+      sim::simulate_seeded_unchecked(setup_, *checkpoint_policy, seed, {});
+  entry.finish = acquire_time + entry.run.finish_time;
+}
+
+// Blocked-node acquisition retries then ready-queue dispatch, both in
+// policy order; the pinned scheduling point after completions and
+// releases at each event time.
+void GraphExecutive::Impl::start_work() {
+  std::sort(blocked_.begin(), blocked_.end(),
+            [this](const BlockedJob& a, const BlockedJob& b) {
+              return policy_order(a.job, b.job);
+            });
+  for (auto it = blocked_.begin(); it != blocked_.end();) {
+    const double slack = it->job.absolute_deadline - now_;
+    if (skip_late_jobs_ && slack <= 0.0) {
+      skip_node(it->job.slot, it->job.node);
+      free_worker(it->worker);
+      const std::size_t slot = it->job.slot;
+      blocked_.erase(it);
+      // abandon_instance erases this instance's remaining blocked
+      // entries itself; restart (erase kept the policy order).
+      abandon_instance(slot);
+      it = blocked_.begin();
+      continue;
+    }
+    if (can_acquire(it->job.node)) {
+      acquire(it->job.node);
+      const BlockedJob entry = *it;
+      it = blocked_.erase(it);
+      execute(entry.job, entry.worker, entry.dispatch, now_);
+      continue;
+    }
+    ++it;
+  }
+
+  while (free_workers_ > 0 && !ready_.empty()) {
+    const auto best = std::min_element(
+        ready_.begin(), ready_.end(),
+        [this](const NodeJob& a, const NodeJob& b) {
+          return policy_order(a, b);
+        });
+    const NodeJob job = *best;
+    ready_.erase(best);
+    const double slack = job.absolute_deadline - now_;
+    if (skip_late_jobs_ && slack <= 0.0) {
+      skip_node(job.slot, job.node);
+      abandon_instance(job.slot);
+      continue;
+    }
+    int worker = 0;
+    while (worker_busy_[static_cast<std::size_t>(worker)]) ++worker;
+    worker_busy_[static_cast<std::size_t>(worker)] = 1;
+    --free_workers_;
+    if (can_acquire(job.node)) {
+      acquire(job.node);
+      execute(job, worker, now_, now_);
+    } else {
+      // Mark kBlocked so abandon_instance's waiting/ready sweep does
+      // not also count it — the blocked list is its single owner.
+      state(job.slot, job.node) = NodeState::kBlocked;
+      blocked_.push_back({job, worker, now_});
+    }
+  }
+}
+
+// A whole-graph release admits every graph-period node and queues the
+// roots; an own-period release admits its one node.  Admission resets
+// the slot's instance state left by the previous run.
+void GraphExecutive::Impl::admit_releases() {
+  while (next_release_ < releases_.size() &&
+         releases_[next_release_].time <= now_) {
+    const std::size_t slot = next_release_;
+    const Release& release = releases_[slot];
+    const bool whole = release.rank == Release::kWholeGraph;
+    auto& inst = instances_[slot];
+    inst = InstanceState{};
+    inst.release = release.time;
+    inst.absolute_deadline =
+        inst.release +
+        (whole ? e2e_ : graph_.nodes[release.rank - 1].relative_deadline());
+    if (whole) {
+      std::copy(indegree_.begin(), indegree_.end(), &deps_left(slot, 0));
+    }
+    std::fill_n(&state(slot, 0), node_count_, NodeState::kAbsent);
+    ++result_.instances_released;
+    for (std::size_t n = 0; n < node_count_; ++n) {
+      if (whole ? graph_.nodes[n].own_period() : n + 1 != release.rank) {
         continue;
       }
-      int worker = 0;
-      while (worker_busy[static_cast<std::size_t>(worker)]) ++worker;
-      worker_busy[static_cast<std::size_t>(worker)] = true;
-      --free_workers;
-      if (can_acquire(job.node)) {
-        acquire(job.node);
-        execute(job, worker, now, now);
-      } else {
-        // Mark kBlocked so abandon_instance's waiting/ready sweep does
-        // not also count it — the blocked list is its single owner.
-        instances[job.slot].state[job.node] = NodeState::kBlocked;
-        blocked.push_back({job, worker, now});
+      ++inst.nodes;
+      ++result_.per_node[n].released;
+      if (telemetry_) SchedMetrics::get().released.add(1);
+      state(slot, n) = NodeState::kWaiting;
+      if (indegree_[n] == 0) {
+        NodeJob job;
+        job.node = n;
+        job.instance = release.index;
+        job.slot = slot;
+        job.release = inst.release;
+        job.ready_time = inst.release;
+        job.absolute_deadline = inst.absolute_deadline;
+        job.remaining_path = paths_[n];
+        job.sequence = sequence_++;
+        state(slot, n) = NodeState::kReady;
+        ready_.push_back(job);
       }
     }
-  };
+    ++next_release_;
+  }
+}
 
-  // A whole-graph release admits every graph-period node and queues
-  // the roots; an own-period release admits its one node.
-  const auto admit_releases = [&] {
-    while (next_release < releases.size() &&
-           releases[next_release].time <= now) {
-      const Release& release = releases[next_release];
-      const bool whole = release.rank == Release::kWholeGraph;
-      auto& inst = instances[next_release];
-      inst.release = release.time;
-      inst.absolute_deadline =
-          inst.release +
-          (whole ? e2e : graph.nodes[release.rank - 1].relative_deadline());
-      if (whole) inst.deps_left = indegree;
-      inst.state.assign(node_count, NodeState::kAbsent);
-      ++result.instances_released;
-      for (std::size_t n = 0; n < node_count; ++n) {
-        if (whole ? graph.nodes[n].own_period() : n + 1 != release.rank) {
-          continue;
-        }
-        ++inst.nodes;
-        ++result.per_node[n].released;
-        if (telemetry) SchedMetrics::get().released.add(1);
-        inst.state[n] = NodeState::kWaiting;
-        if (indegree[n] == 0) {
-          NodeJob job;
-          job.node = n;
-          job.instance = release.index;
-          job.slot = next_release;
-          job.release = inst.release;
-          job.ready_time = inst.release;
-          job.absolute_deadline = inst.absolute_deadline;
-          job.remaining_path = paths[n];
-          job.sequence = sequence++;
-          inst.state[n] = NodeState::kReady;
-          ready.push_back(job);
-        }
-      }
-      ++next_release;
+// Completions at exactly `now`, in worker-index order (the only
+// deterministic order available once finishes tie).  Completing a job
+// starts none, so the set finishing at `now` is fixed up front.
+void GraphExecutive::Impl::complete_finished() {
+  for (std::size_t lane = 0; lane < running_.size(); ++lane) {
+    auto& entry = running_[lane];
+    if (!entry.active || entry.finish > now_) continue;
+    entry.active = false;
+    const int worker = static_cast<int>(lane);
+    const NodeJob& job = entry.job;
+    auto& inst = instances_[job.slot];
+    auto& stats = result_.per_node[job.node];
+    free_worker(worker);
+    release_resources(job.node);
+    state(job.slot, job.node) = NodeState::kDone;
+
+    stats.energy += entry.run.energy;
+    result_.total_energy += entry.run.energy;
+    result_.busy_time += entry.run.finish_time;
+    result_.total_faults += entry.run.faults;
+    result_.total_rollbacks += entry.run.rollbacks;
+    result_.total_corrections += entry.run.corrections;
+    result_.makespan = std::max(result_.makespan, entry.finish);
+    if (tracing_) {
+      obs::Tracer::instance().complete(
+          graph_.nodes[job.node].name + "#" + std::to_string(job.instance),
+          "dag", micros(entry.acquire), micros(entry.run.finish_time),
+          worker);
     }
-  };
 
-  // Completions at exactly `now`, in worker-index order (the only
-  // deterministic order available once finishes tie).
-  const auto complete_finished = [&] {
-    finished.clear();
-    for (auto it = running.begin(); it != running.end();) {
-      if (it->finish <= now) {
-        finished.push_back(std::move(*it));
-        it = running.erase(it);
-      } else {
-        ++it;
+    if (entry.run.completed()) {
+      ++stats.completed;
+      const double response = entry.finish - inst.release;
+      stats.response_time.add(response);
+      if (telemetry_) {
+        SchedMetrics::get().completed.add(1);
+        SchedMetrics::get().response.record(micros(response));
       }
-    }
-    std::sort(finished.begin(), finished.end(),
-              [](const RunningJob& a, const RunningJob& b) {
-                return a.worker < b.worker;
-              });
-    for (const auto& entry : finished) {
-      const NodeJob& job = entry.job;
-      auto& inst = instances[job.slot];
-      auto& stats = result.per_node[job.node];
-      worker_busy[static_cast<std::size_t>(entry.worker)] = false;
-      ++free_workers;
-      release_resources(job.node);
-      inst.state[job.node] = NodeState::kDone;
-
-      stats.energy += entry.run.energy;
-      result.total_energy += entry.run.energy;
-      result.busy_time += entry.run.finish_time;
-      result.total_faults += entry.run.faults;
-      result.total_rollbacks += entry.run.rollbacks;
-      result.total_corrections += entry.run.corrections;
-      result.makespan = std::max(result.makespan, entry.finish);
-      if (tracing) {
-        obs::Tracer::instance().complete(
-            graph.nodes[job.node].name + "#" + std::to_string(job.instance),
-            "dag", micros(entry.acquire), micros(entry.run.finish_time),
-            entry.worker);
-      }
-
-      if (entry.run.completed()) {
-        ++stats.completed;
-        const double response = entry.finish - inst.release;
-        stats.response_time.add(response);
-        if (telemetry) {
-          SchedMetrics::get().completed.add(1);
-          SchedMetrics::get().response.record(micros(response));
-        }
-        if (!inst.abandoned) {
-          ++inst.nodes_done;
-          for (const std::size_t next : successors[job.node]) {
-            if (--inst.deps_left[next] == 0 &&
-                inst.state[next] == NodeState::kWaiting) {
-              NodeJob child;
-              child.node = next;
-              child.instance = job.instance;
-              child.slot = job.slot;
-              child.release = inst.release;
-              child.ready_time = now;
-              child.absolute_deadline = inst.absolute_deadline;
-              child.remaining_path = paths[next];
-              child.sequence = sequence++;
-              inst.state[next] = NodeState::kReady;
-              ready.push_back(child);
-            }
-          }
-          if (inst.nodes_done == inst.nodes) {
-            ++result.instances_completed;
-            result.end_to_end.add(entry.finish - inst.release);
+      if (!inst.abandoned) {
+        ++inst.nodes_done;
+        for (const std::size_t next : successors_[job.node]) {
+          if (--deps_left(job.slot, next) == 0 &&
+              state(job.slot, next) == NodeState::kWaiting) {
+            NodeJob child;
+            child.node = next;
+            child.instance = job.instance;
+            child.slot = job.slot;
+            child.release = inst.release;
+            child.ready_time = now_;
+            child.absolute_deadline = inst.absolute_deadline;
+            child.remaining_path = paths_[next];
+            child.sequence = sequence_++;
+            state(job.slot, next) = NodeState::kReady;
+            ready_.push_back(child);
           }
         }
-      } else {
-        ++stats.missed;
-        if (telemetry) SchedMetrics::get().missed.add(1);
-        abandon_instance(job.slot);
+        if (inst.nodes_done == inst.nodes) {
+          ++result_.instances_completed;
+          result_.end_to_end.add(entry.finish - inst.release);
+        }
       }
+    } else {
+      ++stats.missed;
+      if (telemetry_) SchedMetrics::get().missed.add(1);
+      abandon_instance(job.slot);
     }
-  };
+  }
+}
+
+const GraphScheduleResult& GraphExecutive::Impl::run(std::uint64_t seed,
+                                                     bool trace) {
+  seed_ = seed;
+  telemetry_ = obs::Registry::instance().enabled();
+  tracing_ = trace && obs::Tracer::instance().enabled();
+
+  // Back to the state of a fresh executive; no buffer shrinks.
+  auto per_node = std::move(result_.per_node);
+  std::fill(per_node.begin(), per_node.end(), GraphNodeStats{});
+  result_ = GraphScheduleResult{};
+  result_.per_node = std::move(per_node);
+  std::fill(worker_busy_.begin(), worker_busy_.end(), 0);
+  free_workers_ = workers_;
+  for (std::size_t r = 0; r < available_.size(); ++r) {
+    available_[r] = graph_.resources[r].capacity;
+  }
+  ready_.clear();
+  blocked_.clear();
+  for (auto& entry : running_) entry.active = false;
+  sequence_ = 0;
+  next_release_ = 0;
+  now_ = 0.0;
 
   for (;;) {
     admit_releases();
     start_work();
 
     double next_event = std::numeric_limits<double>::infinity();
-    for (const auto& entry : running) {
-      next_event = std::min(next_event, entry.finish);
+    for (const auto& entry : running_) {
+      if (entry.active) next_event = std::min(next_event, entry.finish);
     }
-    if (next_release < releases.size()) {
-      next_event = std::min(next_event, releases[next_release].time);
+    if (next_release_ < releases_.size()) {
+      next_event = std::min(next_event, releases_[next_release_].time);
     }
     if (!std::isfinite(next_event)) break;
-    now = std::max(now, next_event);
+    now_ = std::max(now_, next_event);
     complete_finished();
   }
 
-  return result;
+  return result_;
+}
+
+GraphExecutive::GraphExecutive(const TaskGraph& graph,
+                               const GraphExecutiveConfig& config)
+    : impl_(std::make_unique<Impl>(graph, config)) {}
+
+GraphExecutive::~GraphExecutive() = default;
+
+const GraphScheduleResult& GraphExecutive::run(std::uint64_t seed,
+                                               bool trace) {
+  return impl_->run(seed, trace);
+}
+
+const sim::SimSetup& GraphExecutive::setup() const { return impl_->setup(); }
+
+GraphScheduleResult run_graph_executive(const TaskGraph& graph,
+                                        const GraphExecutiveConfig& config) {
+  return GraphExecutive(graph, config).run(config.seed, config.trace);
 }
 
 }  // namespace adacheck::sched

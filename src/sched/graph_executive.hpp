@@ -39,14 +39,21 @@
 //    number (0 for the release at its phase): independent of the
 //    scheduler, so policy comparisons on the same seed see paired
 //    fault draws.
-//  * One checkpoint policy per node per executive run, re-armed before
-//    each job under the sweep's reset() contract (a fresh instance
-//    when reset() returns false): every job decides as a newly built
-//    policy would, and the adaptive m-search memo survives between
-//    the node's jobs.
+//  * One checkpoint policy per node per prepared executive, built with
+//    it and re-armed before each job under the sweep's reset()
+//    contract (a fresh instance when reset() returns false), across
+//    all of its runs: every job decides as a newly built policy would,
+//    and the adaptive m-search memo survives between the node's jobs.
+//
+// A GraphExecutive is prepared once from (graph, config) — validation,
+// the derived tables, the release list, the scheduler, the node
+// policies and every working buffer — and then run() many times, one
+// seed each, without allocating.  run_graph_executive is the one-shot
+// form.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,6 +64,10 @@
 #include "sched/scheduler.hpp"
 #include "sched/task_graph.hpp"
 #include "util/statistics.hpp"
+
+namespace adacheck::sim {
+struct SimSetup;
+}  // namespace adacheck::sim
 
 namespace adacheck::sched {
 
@@ -105,7 +116,33 @@ struct GraphScheduleResult {
   double instance_miss_ratio() const;
 };
 
-/// Simulates every release in [0, config.instances * graph.period).
+/// The graph executive prepared for many runs of one (graph, config).
+class GraphExecutive {
+ public:
+  /// Validates `graph` and `config` and builds every node's checkpoint
+  /// policy; throws std::invalid_argument on any of them, before a
+  /// single release.  config.seed and config.trace are not read: run()
+  /// takes both.
+  GraphExecutive(const TaskGraph& graph, const GraphExecutiveConfig& config);
+  ~GraphExecutive();
+  GraphExecutive(const GraphExecutive&) = delete;
+  GraphExecutive& operator=(const GraphExecutive&) = delete;
+
+  /// Simulates every release in [0, config.instances * graph.period)
+  /// under `seed`.  The result is reused: it stays valid until the
+  /// next run().
+  const GraphScheduleResult& run(std::uint64_t seed, bool trace = false);
+
+  /// The bound node-job setup: the config's costs, platform and
+  /// faults, with the task of the latest job.
+  const sim::SimSetup& setup() const;
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// One-shot: GraphExecutive(graph, config).run(config.seed, config.trace).
 GraphScheduleResult run_graph_executive(const TaskGraph& graph,
                                         const GraphExecutiveConfig& config);
 

@@ -645,13 +645,9 @@ TEST(GraphExecutive, ContentionBlocksAndIsAccountedSeparately) {
   EXPECT_GT(contended.makespan, uncontended.makespan);
 }
 
-TEST(GraphExecutive, SkipLateAbandonsBlockedInstances) {
-  // "hog" (6000 cycles) can never meet the 2000 deadline even at f2;
-  // the adaptive policy predicts the guaranteed miss and aborts it at
-  // dispatch, abandoning the instance while "quick" is still blocked
-  // on the bus hog acquired: the blocked node must be skipped exactly
-  // once, without executing, and its worker freed for the next
-  // release.  Fully deterministic at lambda = 0.
+/// "hog" (6000 cycles) can never meet the 2000 deadline even at f2;
+/// "quick" waits on the bus hog holds.
+TaskGraph hog_and_quick_graph() {
   TaskGraph graph;
   graph.period = 2'500.0;
   graph.deadline = 2'000.0;
@@ -662,7 +658,16 @@ TEST(GraphExecutive, SkipLateAbandonsBlockedInstances) {
   GraphNode quick = node("quick", 500.0);
   quick.resources.push_back(bus);
   graph.add_node(quick);
+  return graph;
+}
 
+TEST(GraphExecutive, SkipLateAbandonsBlockedInstances) {
+  // The adaptive policy predicts hog's guaranteed miss and aborts it at
+  // dispatch, abandoning the instance while "quick" is still blocked
+  // on the bus hog acquired: the blocked node must be skipped exactly
+  // once, without executing, and its worker freed for the next
+  // release.  Fully deterministic at lambda = 0.
+  const TaskGraph graph = hog_and_quick_graph();
   auto config = quiet_config();
   config.workers = 2;
   config.instances = 2;
@@ -742,6 +747,25 @@ TEST(GraphExecutive, ValidationRejectsBadConfig) {
   config = quiet_config();
   config.instances = 0;
   EXPECT_THROW(run_graph_executive(graph, config), std::invalid_argument);
+  // An unknown node policy fails when the executive is built, before
+  // any release, naming the node: also for a node that never executes
+  // ("quick" is always skipped while blocked behind the aborted hog).
+  TaskGraph bogus = hog_and_quick_graph();
+  bogus.nodes[bogus.node_index("quick")].policy = "bogus";
+  config = quiet_config();
+  config.workers = 2;
+  config.instances = 2;
+  try {
+    sched::GraphExecutive executive(bogus, config);
+    FAIL() << "unknown node policy accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node \"quick\""),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(run_graph_executive(bogus, config), std::invalid_argument);
   // An invalid environment is caught by validate(), before any release
   // reaches the telemetry.
   config = quiet_config();
@@ -819,6 +843,102 @@ TEST(GraphExecutive, NodePolicyReuseKeepsEverySchedule) {
     for (std::size_t n = 0; n < result.per_node.size(); ++n) {
       EXPECT_EQ(result.per_node[n].completed, pin.completed[n]) << n;
       EXPECT_EQ(result.per_node[n].missed, pin.missed[n]) << n;
+    }
+  }
+}
+
+void expect_same_stats(const util::RunningStats& a,
+                       const util::RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  if (a.empty() || b.empty()) return;  // min and max are NaN
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+/// Every field of two schedules, compared exactly.
+void expect_same_schedule(const sched::GraphScheduleResult& a,
+                          const sched::GraphScheduleResult& b) {
+  EXPECT_EQ(a.instances_released, b.instances_released);
+  EXPECT_EQ(a.instances_completed, b.instances_completed);
+  EXPECT_EQ(a.instances_missed, b.instances_missed);
+  expect_same_stats(a.end_to_end, b.end_to_end);
+  EXPECT_EQ(a.total_energy, b.total_energy);
+  EXPECT_EQ(a.total_blocking, b.total_blocking);
+  EXPECT_EQ(a.busy_time, b.busy_time);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.total_faults, b.total_faults);
+  EXPECT_EQ(a.total_rollbacks, b.total_rollbacks);
+  EXPECT_EQ(a.total_corrections, b.total_corrections);
+  ASSERT_EQ(a.per_node.size(), b.per_node.size());
+  for (std::size_t n = 0; n < a.per_node.size(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const auto& x = a.per_node[n];
+    const auto& y = b.per_node[n];
+    EXPECT_EQ(x.released, y.released);
+    EXPECT_EQ(x.completed, y.completed);
+    EXPECT_EQ(x.missed, y.missed);
+    EXPECT_EQ(x.skipped, y.skipped);
+    expect_same_stats(x.response_time, y.response_time);
+    expect_same_stats(x.blocking_time, y.blocking_time);
+    EXPECT_EQ(x.energy, y.energy);
+  }
+}
+
+TEST(GraphExecutive, PreparedRunsMatchOneShotRuns) {
+  // One prepared executive over a scrambled seed list with repeats must
+  // give, run for run, the schedule of a fresh one-shot executive: on
+  // graphs that abandon instances with blocked jobs, release own-period
+  // nodes, and mix every policy family, after a traced first run.
+  struct Case {
+    const char* label;
+    TaskGraph graph;
+    GraphExecutiveConfig config;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* label, TaskGraph graph, double lambda,
+                       int instances, int workers,
+                       const char* environment = "poisson") {
+    auto config = quiet_config(lambda);
+    config.instances = instances;
+    config.workers = workers;
+    config.environment = model::find_environment(environment);
+    cases.push_back({label, std::move(graph), config});
+  };
+  add("abandoned blocked jobs", hog_and_quick_graph(), 0.0, 3, 2);
+  add("abandoned blocked jobs, faults", hog_and_quick_graph(), 2e-3, 3, 2);
+  add("control task set", control_task_set("A_D_S"), 1.2e-3, 1, 1);
+  add("control task set, bursty", control_task_set("k-f-t"), 1.2e-3, 1, 1,
+      "bursty-orbit");
+  add("mixed policies", mixed_policy_graph(), 6e-4, 3, 2);
+  add("mixed policies, bursty", mixed_policy_graph(), 6e-4, 3, 2,
+      "bursty-orbit");
+  add("diamond", diamond_graph(), 1e-3, 4, 2);
+
+  const std::vector<std::uint64_t> seeds = {5, 1, 9, 5, 3, 1, 7, 9, 2, 5};
+  auto& tracer = obs::Tracer::instance();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    sched::GraphExecutive executive(c.graph, c.config);
+    auto fresh = c.config;
+
+    // A traced first run, then untraced ones on the same executive.
+    tracer.clear();
+    tracer.set_enabled(true);
+    fresh.seed = 11;
+    fresh.trace = true;
+    const auto traced = executive.run(11, true);
+    expect_same_schedule(traced, run_graph_executive(c.graph, fresh));
+    tracer.set_enabled(false);
+    tracer.clear();
+
+    fresh.trace = false;
+    for (const std::uint64_t seed : seeds) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      fresh.seed = seed;
+      expect_same_schedule(executive.run(seed),
+                           run_graph_executive(c.graph, fresh));
     }
   }
 }

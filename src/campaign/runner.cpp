@@ -422,11 +422,11 @@ CampaignPlan plan_campaign(const CampaignSpec& spec) {
       scenario::ScenarioSpec with_env = base;
       if (!environment.empty()) {
         for (auto& exp : with_env.experiments) {
-          exp.environment = environment;
+          exp.spec.environment = environment;
           exp.environments.clear();
         }
         for (auto& graph : with_env.graphs) {
-          graph.environment = environment;
+          graph.spec.environment = environment;
           graph.environments.clear();
         }
       }
@@ -583,20 +583,22 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     obs::Span span(cell.resolved.name, "campaign");
     try {
       if (options.before_execute) options.before_execute(cell);
-      scenario::ScenarioSpec to_run = cell.resolved;
-      if (options.threads >= 0) to_run.config.threads = options.threads;
+      const auto experiments = scenario::bind_experiments(cell.resolved);
+      const auto graphs = scenario::bind_graphs(cell.resolved);
+      auto config = scenario::monte_carlo_config(cell.resolved);
+      if (options.threads >= 0) config.threads = options.threads;
 
+      // The stream's refs and the sweep come from one bind, so the
+      // stream's cell coordinates can never desync from the jobs run.
       std::ostringstream bytes;
       harness::JsonlCellStream stream(
-          bytes, harness::sweep_cell_refs(
-                     scenario::bind_experiments(to_run),
-                     scenario::bind_graphs(to_run)));
+          bytes, harness::sweep_cell_refs(experiments, graphs));
       sim::ObserverList observers;
       observers.add(&stream).add(observer);
       harness::SweepOptions sweep_options;
       sweep_options.observer = &observers;
       const harness::SweepResult sweep =
-          scenario::run_scenario(to_run, sweep_options);
+          harness::run_sweep(experiments, graphs, config, sweep_options);
 
       std::string payload = bytes.str();
       outcome.result_hash = util::content_hash128(payload).hex();

@@ -1,9 +1,8 @@
-// Lowers a validated ScenarioSpec onto the harness: paper-table
-// references resolve to the harness/paper_params builders (so a
-// scenario-driven table run is byte-identical in its cell section to
-// the programmatic sweep), inline grids expand row-major (utilization
-// outer, lambda inner), and environment axes cross via
-// harness::with_environments ("id@env" naming).
+// Binds a parsed ScenarioSpec to the harness.  The parser already
+// built every harness spec (paper tables resolved, grids expanded), so
+// binding only expands environment axes via harness::with_environments
+// / graphs_with_environments ("id@env" naming) and lowers the config
+// block onto a sim::MonteCarloConfig.
 #pragma once
 
 #include "harness/sweep.hpp"
@@ -26,13 +25,5 @@ std::vector<harness::GraphExperimentSpec> bind_graphs(
 /// including the metric suite built from the "metrics" array and the
 /// run budget from the "budget" object (disabled when absent).
 sim::MonteCarloConfig monte_carlo_config(const ScenarioSpec& spec);
-
-/// bind_experiments + harness::run_sweep under the scenario's config.
-/// config.threads caps the parallelism (the adacheck driver
-/// additionally sizes the shared pool; statistics do not depend on
-/// either).  `options` threads observers / cancellation through to the
-/// flat chunk queue (the driver's --progress and --jsonl plumbing).
-harness::SweepResult run_scenario(const ScenarioSpec& spec,
-                                  const harness::SweepOptions& options = {});
 
 }  // namespace adacheck::scenario

@@ -10,6 +10,7 @@
 #include "model/fault_env.hpp"
 #include "policy/factory.hpp"
 #include "sched/scheduler.hpp"
+#include "scenario/binder.hpp"
 #include "scenario/schema.hpp"
 #include "sim/metrics.hpp"
 #include "util/text.hpp"
@@ -22,6 +23,14 @@ using namespace schema;
 using util::json::Value;
 
 namespace {
+
+/// The ids of a harness spec list, in order.
+std::vector<std::string> spec_ids(const auto& specs) {
+  std::vector<std::string> ids;
+  ids.reserve(specs.size());
+  for (const auto& spec : specs) ids.push_back(spec.id);
+  return ids;
+}
 
 // --- section parsers -----------------------------------------------------
 
@@ -80,15 +89,16 @@ model::CheckpointCosts parse_costs(const Value& v, const std::string& path) {
   return costs;
 }
 
-std::vector<ScenarioRow> parse_rows(const Value& v, const std::string& path) {
-  std::vector<ScenarioRow> rows;
+std::vector<harness::ExperimentRow> parse_rows(const Value& v,
+                                               const std::string& path) {
+  std::vector<harness::ExperimentRow> rows;
   const auto& array = as_array(v, path);
   if (array.empty()) fail(path, "must not be empty");
   for (std::size_t i = 0; i < array.size(); ++i) {
     const std::string row_path = index_path(path, i);
     require_object(array[i], row_path);
     check_keys(array[i], row_path, {"utilization", "lambda"});
-    ScenarioRow row;
+    harness::ExperimentRow row;
     row.utilization =
         positive_number(require(array[i], row_path, "utilization"),
                         member_path(row_path, "utilization"));
@@ -154,14 +164,21 @@ void parse_environment_keys(const Value& v, const std::string& path,
 ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
   require_object(v, path);
   ScenarioExperiment exp;
+  harness::ExperimentSpec& spec = exp.spec;
 
   if (const Value* table = v.find("table")) {
     // A paper-table reference admits only the environment axis on top;
     // grid knobs belong to inline experiments.
     check_keys(v, path, {"table", "environment", "environments"});
-    exp.table = as_string(*table, member_path(path, "table"));
-    check_name(exp.table, known_tables(), member_path(path, "table"));
-    parse_environment_keys(v, path, exp.environment, exp.environments);
+    const std::string table_path = member_path(path, "table");
+    const std::string& name = as_string(*table, table_path);
+    // One builder call serves the name check and the resolution.
+    auto tables = harness::all_paper_tables();
+    check_name(name, spec_ids(tables), table_path);
+    spec = std::move(*std::find_if(
+        tables.begin(), tables.end(),
+        [&](const harness::ExperimentSpec& t) { return t.id == name; }));
+    parse_environment_keys(v, path, spec.environment, exp.environments);
     return exp;
   }
 
@@ -171,31 +188,31 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
               "faults_during_overhead", "recompute_at_commit", "schemes",
               "rows", "grid", "environment", "environments"});
 
-  exp.id = as_string(require(v, path, "id"), member_path(path, "id"));
-  if (exp.id.empty()) fail(member_path(path, "id"), "must not be empty");
-  exp.title = v.find("title")
-                  ? as_string(*v.find("title"), member_path(path, "title"))
-                  : exp.id;
+  spec.id = as_string(require(v, path, "id"), member_path(path, "id"));
+  if (spec.id.empty()) fail(member_path(path, "id"), "must not be empty");
+  spec.title = v.find("title")
+                   ? as_string(*v.find("title"), member_path(path, "title"))
+                   : spec.id;
   if (const Value* costs = v.find("costs")) {
-    exp.costs = parse_costs(*costs, member_path(path, "costs"));
+    spec.costs = parse_costs(*costs, member_path(path, "costs"));
   }
   if (const Value* deadline = v.find("deadline")) {
-    exp.deadline =
+    spec.deadline =
         positive_number(*deadline, member_path(path, "deadline"));
   }
   if (const Value* k = v.find("fault_tolerance")) {
     const auto value = as_int(*k, member_path(path, "fault_tolerance"));
     if (value < 0) fail(member_path(path, "fault_tolerance"), "must be >= 0");
-    exp.fault_tolerance = static_cast<int>(value);
+    spec.fault_tolerance = static_cast<int>(value);
   }
   if (const Value* ratio = v.find("speed_ratio")) {
-    exp.speed_ratio = as_number(*ratio, member_path(path, "speed_ratio"));
-    if (exp.speed_ratio <= 1.0) {
+    spec.speed_ratio = as_number(*ratio, member_path(path, "speed_ratio"));
+    if (spec.speed_ratio <= 1.0) {
       fail(member_path(path, "speed_ratio"), "must be > 1 (f2/f1)");
     }
   }
   if (const Value* kappa = v.find("voltage_kappa")) {
-    exp.voltage_kappa =
+    spec.voltage.kappa =
         positive_number(*kappa, member_path(path, "voltage_kappa"));
   }
   if (const Value* level = v.find("util_level")) {
@@ -205,7 +222,7 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
            "must be 0 (f1) or 1 (f2): the speed level that converts "
            "utilization to cycles");
     }
-    exp.util_level = static_cast<std::size_t>(value);
+    spec.util_level = static_cast<std::size_t>(value);
   }
   if (const Value* processors = v.find("processors")) {
     const std::string processors_path = member_path(path, "processors");
@@ -216,14 +233,14 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
       message += "] (2 = DMR, 3 = TMR)";
       fail(processors_path, message);
     }
-    exp.processors = static_cast<int>(value);
+    spec.processors = static_cast<int>(value);
   }
   if (const Value* overhead = v.find("faults_during_overhead")) {
-    exp.faults_during_overhead =
+    spec.faults_during_overhead =
         as_bool(*overhead, member_path(path, "faults_during_overhead"));
   }
   if (const Value* recompute = v.find("recompute_at_commit")) {
-    exp.recompute_at_commit =
+    spec.recompute_at_commit =
         as_bool(*recompute, member_path(path, "recompute_at_commit"));
   }
 
@@ -234,11 +251,11 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
     const std::string item_path = index_path(schemes_path, i);
     const std::string& name = as_string(schemes[i], item_path);
     check_name(name, policy::known_policies(), item_path);
-    if (std::find(exp.schemes.begin(), exp.schemes.end(), name) !=
-        exp.schemes.end()) {
+    if (std::find(spec.schemes.begin(), spec.schemes.end(), name) !=
+        spec.schemes.end()) {
       fail(item_path, "duplicate scheme \"" + name + "\"");
     }
-    exp.schemes.push_back(name);
+    spec.schemes.push_back(name);
   }
 
   const Value* rows = v.find("rows");
@@ -248,21 +265,26 @@ ScenarioExperiment parse_experiment(const Value& v, const std::string& path) {
                "\"grid\" (utilization x lambda cross product)");
   }
   if (rows != nullptr) {
-    exp.rows = parse_rows(*rows, member_path(path, "rows"));
+    spec.rows = parse_rows(*rows, member_path(path, "rows"));
   } else {
     const std::string grid_path = member_path(path, "grid");
     require_object(*grid, grid_path);
     check_keys(*grid, grid_path, {"utilization", "lambda"});
-    exp.grid_utilization =
+    const auto utilizations =
         parse_axis(require(*grid, grid_path, "utilization"),
                    member_path(grid_path, "utilization"),
                    /*strictly_positive=*/true);
-    exp.grid_lambda = parse_axis(require(*grid, grid_path, "lambda"),
-                                 member_path(grid_path, "lambda"),
-                                 /*strictly_positive=*/false);
+    const auto lambdas = parse_axis(require(*grid, grid_path, "lambda"),
+                                    member_path(grid_path, "lambda"),
+                                    /*strictly_positive=*/false);
+    for (const double utilization : utilizations) {
+      for (const double lambda : lambdas) {
+        spec.rows.push_back({utilization, lambda, {}});
+      }
+    }
   }
 
-  parse_environment_keys(v, path, exp.environment, exp.environments);
+  parse_environment_keys(v, path, spec.environment, exp.environments);
   return exp;
 }
 
@@ -420,7 +442,8 @@ ScenarioGraph parse_graph(const Value& v, const std::string& path) {
               "skip_late_jobs", "costs", "speed_ratio", "voltage_kappa",
               "schedulers", "lambdas", "environment", "environments"});
 
-  ScenarioGraph graph;
+  ScenarioGraph entry;
+  harness::GraphExperimentSpec& graph = entry.spec;
   graph.id = as_string(require(v, path, "id"), member_path(path, "id"));
   if (graph.id.empty()) fail(member_path(path, "id"), "must not be empty");
   graph.title = v.find("title")
@@ -468,7 +491,7 @@ ScenarioGraph parse_graph(const Value& v, const std::string& path) {
     }
   }
   if (const Value* kappa = v.find("voltage_kappa")) {
-    graph.voltage_kappa =
+    graph.voltage.kappa =
         positive_number(*kappa, member_path(path, "voltage_kappa"));
   }
 
@@ -491,31 +514,8 @@ ScenarioGraph parse_graph(const Value& v, const std::string& path) {
                              member_path(path, "lambdas"),
                              /*strictly_positive=*/false);
 
-  parse_environment_keys(v, path, graph.environment, graph.environments);
-  return graph;
-}
-
-/// The experiment ids a ScenarioExperiment expands to; must match the
-/// binder's naming (environment axes suffix "@env").
-std::vector<std::string> expanded_ids(const ScenarioExperiment& exp) {
-  const std::string base = exp.table.empty() ? exp.id : exp.table;
-  if (exp.environments.empty()) return {base};
-  std::vector<std::string> ids;
-  ids.reserve(exp.environments.size());
-  for (const auto& env : exp.environments) ids.push_back(base + "@" + env);
-  return ids;
-}
-
-/// Graph ids expand the same way (the binder reuses
-/// harness::graphs_with_environments, which suffixes "@env").
-std::vector<std::string> expanded_ids(const ScenarioGraph& graph) {
-  if (graph.environments.empty()) return {graph.id};
-  std::vector<std::string> ids;
-  ids.reserve(graph.environments.size());
-  for (const auto& env : graph.environments) {
-    ids.push_back(graph.id + "@" + env);
-  }
-  return ids;
+  parse_environment_keys(v, path, graph.environment, entry.environments);
+  return entry;
 }
 
 }  // namespace
@@ -528,11 +528,7 @@ ScenarioError::ScenarioError(const std::string& path,
 std::vector<std::string> known_tables() {
   // Derived from the paper-table builders (each sets spec.id to its
   // registry name) so new tables need no registration here.
-  std::vector<std::string> names;
-  for (const auto& spec : harness::all_paper_tables()) {
-    names.push_back(spec.id);
-  }
-  return names;
+  return spec_ids(harness::all_paper_tables());
 }
 
 sim::RunBudget parse_budget(const util::json::Value& v,
@@ -660,8 +656,8 @@ ScenarioSpec parse_scenario(const util::json::Value& root) {
               "non-empty array");
   }
 
-  // Expanded ids must be unique across both lists: the sweep report
-  // keys cells by them.
+  // Bound ids must be unique across both lists: the sweep report keys
+  // cells by them.
   std::vector<std::string> seen;
   const auto claim = [&](std::vector<std::string> ids,
                          const std::string& where) {
@@ -673,12 +669,8 @@ ScenarioSpec parse_scenario(const util::json::Value& root) {
       seen.push_back(std::move(id));
     }
   };
-  for (const auto& exp : spec.experiments) {
-    claim(expanded_ids(exp), "experiments");
-  }
-  for (const auto& graph : spec.graphs) {
-    claim(expanded_ids(graph), "graphs");
-  }
+  claim(spec_ids(bind_experiments(spec)), "experiments");
+  claim(spec_ids(bind_graphs(spec)), "graphs");
   return spec;
 }
 

@@ -74,10 +74,14 @@
 //   experiments[2].environment: unknown name "bursty-orbitt", did you
 //   mean "bursty-orbit"?
 //
-// The binder (scenario/binder.hpp) lowers a validated spec onto
-// harness::ExperimentSpec / run_sweep; a scenario-driven sweep is
-// byte-identical in its cell section to the equivalent programmatic
-// one.
+// The parser builds the harness specs directly: a paper-table
+// reference resolves to its harness/paper_params builder, a "grid"
+// expands into rows (utilization outer, lambda inner), and the schema
+// defaults are the harness defaults.  Each entry keeps only its
+// unexpanded environment axis beside its spec; the binder
+// (scenario/binder.hpp) expands those axes, so a scenario-driven sweep
+// is byte-identical in its cell section to the equivalent
+// programmatic one.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +90,8 @@
 #include <string_view>
 #include <vector>
 
-#include "model/checkpoint.hpp"
-#include "sched/task_graph.hpp"
+#include "harness/experiment.hpp"
+#include "harness/graph_experiment.hpp"
 #include "sim/metrics.hpp"
 #include "util/json.hpp"
 
@@ -117,63 +121,24 @@ struct ScenarioConfig {
   int threads = 0;
 };
 
-/// One (utilization, lambda) grid point.
-struct ScenarioRow {
-  double utilization = 0.0;
-  double lambda = 0.0;
-};
-
-/// One experiment: either a paper-table reference ("table", optionally
-/// crossed with an environment axis) or an inline grid definition.
-struct ScenarioExperiment {
-  std::string table;  ///< paper-table name; empty = inline definition
-
-  // Inline definition (defaults mirror the paper's SCP-flavor setup).
-  std::string id;
-  std::string title;  ///< defaults to id
-  model::CheckpointCosts costs = model::CheckpointCosts::paper_scp_flavor();
-  double deadline = 10'000.0;
-  int fault_tolerance = 0;
-  double speed_ratio = 2.0;
-  double voltage_kappa = 4.0;
-  std::size_t util_level = 0;
-  int processors = 2;                  ///< [2, model::kMaxProcessors]
-  bool faults_during_overhead = false;
-  bool recompute_at_commit = false;    ///< applies to adaptive schemes
-  std::vector<std::string> schemes;        ///< policy factory names
-  std::vector<ScenarioRow> rows;           ///< explicit rows ("rows"), or
-  std::vector<double> grid_utilization;    ///< a cross product ("grid"):
-  std::vector<double> grid_lambda;         ///< utilization outer, lambda inner
-
-  /// Single environment: applied in place, experiment id unchanged.
-  std::string environment = "poisson";
+/// One "experiments" or "graphs" entry: the harness spec it describes
+/// plus its unexpanded environment axis.
+template <typename Spec>
+struct ScenarioEntry {
+  /// spec.environment is the single environment, applied in place with
+  /// the id unchanged; the axis below replaces it when set.
+  Spec spec;
   /// Environment axis: one spec copy per name, ids become "id@env"
-  /// (harness::with_environments naming).  Exclusive with environment.
+  /// (harness::with_environments naming).  Exclusive with the
+  /// document's "environment" key.
   std::vector<std::string> environments;
 };
 
-/// One DAG experiment from the "graphs" array: a task graph crossed
-/// with a scheduler axis and a fault-rate (lambda) axis, mirroring
-/// harness::GraphExperimentSpec knob for knob.
-struct ScenarioGraph {
-  std::string id;
-  std::string title;  ///< defaults to id
-  sched::TaskGraph graph;
-  int workers = 1;
-  int instances = 8;
-  bool skip_late_jobs = true;
-  model::CheckpointCosts costs = model::CheckpointCosts::paper_scp_flavor();
-  double speed_ratio = 2.0;
-  double voltage_kappa = 4.0;
-  std::vector<std::string> schedulers;  ///< scheduler registry names
-  std::vector<double> lambdas;          ///< fault-rate rows
-
-  /// Single environment: applied in place, experiment id unchanged.
-  std::string environment = "poisson";
-  /// Environment axis: one spec copy per name, ids become "id@env".
-  /// Exclusive with environment.
-  std::vector<std::string> environments;
-};
+/// A paper-table reference or an inline grid, resolved at parse time.
+using ScenarioExperiment = ScenarioEntry<harness::ExperimentSpec>;
+/// A task graph crossed with a scheduler axis and a fault-rate
+/// (lambda) axis.
+using ScenarioGraph = ScenarioEntry<harness::GraphExperimentSpec>;
 
 struct ScenarioSpec {
   std::string name;
@@ -196,7 +161,7 @@ struct ScenarioSpec {
   std::vector<ScenarioGraph> graphs;
 };
 
-/// Paper tables addressable from ScenarioExperiment::table
+/// Paper tables addressable from an experiment's "table" key
 /// ("table1a" ... "table4b", see harness/paper_params.hpp).
 std::vector<std::string> known_tables();
 

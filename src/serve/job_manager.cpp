@@ -139,9 +139,9 @@ JobManager::JobManager(Options options) : options_(std::move(options)) {
 JobManager::~JobManager() { shutdown(); }
 
 std::uint64_t JobManager::submit(JobRequest request) {
-  // Bind outside the lock: binding validates the document (throws
-  // ScenarioError before a job exists) and the result is discarded —
-  // the worker re-binds when the job runs.
+  // Bind outside the lock: binding and the cell refs validate the
+  // document (they throw before a job exists) and the result is
+  // discarded — the worker re-binds when the job runs.
   const std::size_t cells =
       harness::sweep_cell_refs(scenario::bind_experiments(request.scenario),
                                scenario::bind_graphs(request.scenario))

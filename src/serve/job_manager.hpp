@@ -15,13 +15,13 @@
 // stays a valid handle for debugging multi-job sessions.
 //
 // Results are the point: a job's JSONL stream is produced by the exact
-// harness::JsonlCellStream + scenario::run_scenario pipeline that
-// `adacheck run --jsonl` uses, so the accumulated bytes are
-// byte-identical to a batch run of the same document at any thread
-// count (pinned by serve_test).  The stream is observable live:
-// stream_wait() blocks until the job has bytes past an offset or
-// reaches a terminal state, which is what the `stream` protocol
-// request loops on.
+// harness::JsonlCellStream + harness::run_sweep pipeline, over one
+// bind of the document, that `adacheck run --jsonl` uses, so the
+// accumulated bytes are byte-identical to a batch run of the same
+// document at any thread count (pinned by serve_test).  The stream is
+// observable live: stream_wait() blocks until the job has bytes past
+// an offset or reaches a terminal state, which is what the `stream`
+// protocol request loops on.
 //
 // Cancellation is cooperative and prompt: cancel() flips the job's
 // sim::CancellationToken, workers drain the sweep's remaining chunks
@@ -147,8 +147,10 @@ class JobManager {
   JobManager(const JobManager&) = delete;
   JobManager& operator=(const JobManager&) = delete;
 
-  /// Validates the request by binding its experiments (throws
-  /// scenario::ScenarioError on an invalid document), then enqueues it.
+  /// Validates the request by binding its document and checking every
+  /// bound spec (throws std::invalid_argument on an invalid in-memory
+  /// spec, such as an unknown name on an environment axis), then
+  /// enqueues it.
   /// Throws QueueFull when the queue is at the bound.  Returns the job
   /// id (ids are assigned in submit order, starting at 1).
   std::uint64_t submit(JobRequest request);

@@ -63,7 +63,6 @@ struct SimSetup {
   /// bit-identical to the pre-environment simulator.
   model::FaultEnvironment environment;
 
-  SimSetup() = default;
   SimSetup(model::TaskSpec task_, model::CheckpointCosts costs_,
            model::DvsProcessor processor_, model::FaultModel fault_model_,
            model::FaultEnvironment environment_ = {})

@@ -17,7 +17,7 @@
 //
 // Execution happens on the shared util::ThreadPool: one cell
 // (`run_cell`) chunks its runs onto the persistent workers, and a
-// whole batch of cells (`run_cells`) becomes a single flat task queue
+// whole batch of cells (`run_cells_ex`) becomes a single flat task queue
 // — the backbone of harness::run_sweep.  An ISweepObserver
 // (sim/observer.hpp) can watch cell completion and progress, and a
 // CancellationToken stops the queue cooperatively; both default to the
@@ -84,7 +84,7 @@ using ChunkRunner =
                             int end)>;
 
 /// One independent cell of a batch.  `config.threads` is ignored here —
-/// run_cells parallelizes across the whole batch, not per cell.
+/// run_cells_ex parallelizes across the whole batch, not per cell.
 struct CellJob {
   SimSetup setup;
   PolicyFactory factory;
@@ -121,10 +121,5 @@ struct RunCellsOptions {
 /// observer fast-drains the queue and propagates its exception.
 std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
                                      const RunCellsOptions& options = {});
-
-/// Compatibility wrapper: default statistics only, no observers.
-std::vector<CellStats> run_cells(const std::vector<CellJob>& jobs,
-                                 int threads = 0,
-                                 int* threads_used = nullptr);
 
 }  // namespace adacheck::sim

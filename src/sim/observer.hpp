@@ -1,6 +1,6 @@
 // Sweep observers and cooperative cancellation.
 //
-// run_cells / run_sweep execute a flat chunk queue; an ISweepObserver
+// run_cells_ex / run_sweep execute a flat chunk queue; an ISweepObserver
 // watches cell-granular progress of that queue without perturbing it:
 // on_cell_start when a cell's first chunk begins, on_cell_done exactly
 // once per cell — with the cell's final merged statistics — when its
@@ -39,7 +39,7 @@ struct CellResult {
   MetricValues metrics;
 };
 
-/// Chunk-granular progress of one run_cells execution.  For budgeted
+/// Chunk-granular progress of one run_cells_ex execution.  For budgeted
 /// cells (MonteCarloConfig::budget) runs_total is the runs scheduled
 /// so far and grows as waves are added — it is an estimate that only
 /// settles when every budgeted cell has stopped; runs_done counts
@@ -89,7 +89,7 @@ class CancellationToken {
   std::atomic<bool> stop_{false};
 };
 
-/// Thrown by run_cells / run_sweep when a CancellationToken was stopped
+/// Thrown by run_cells_ex / run_sweep when a CancellationToken was stopped
 /// before the sweep returned.
 class SweepCancelled : public std::runtime_error {
  public:

@@ -280,19 +280,19 @@ TEST(BudgetedRun, MixedJobListKeepsBothPathsIdenticalAcrossThreads) {
   jobs.push_back({high_p_setup(), factory, budgeted});
   jobs.push_back({rare_event_setup(), factory, fixed});
 
-  const auto serial = run_cells(jobs, 1);
-  const auto parallel = run_cells(jobs, 4);
+  const auto serial = run_cells_ex(jobs, {.threads = 1});
+  const auto parallel = run_cells_ex(jobs, {.threads = 4});
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    expect_same_stats(serial[j], parallel[j]);
+    expect_same_stats(serial[j].stats, parallel[j].stats);
   }
   // The fixed cells executed exactly their configured runs; the
   // budgeted one stopped at a chunk boundary below the default.
-  EXPECT_EQ(serial[0].completion.trials(), 300u);
-  EXPECT_EQ(serial[2].completion.trials(), 300u);
-  EXPECT_LT(serial[1].completion.trials(), 10'000u);
-  EXPECT_EQ(serial[1].completion.trials() % kRunChunk, 0u);
+  EXPECT_EQ(serial[0].stats.completion.trials(), 300u);
+  EXPECT_EQ(serial[2].stats.completion.trials(), 300u);
+  EXPECT_LT(serial[1].stats.completion.trials(), 10'000u);
+  EXPECT_EQ(serial[1].stats.completion.trials() % kRunChunk, 0u);
 }
 
 TEST(BudgetedRun, BudgetedCellMatchesStandaloneRun) {
@@ -310,9 +310,9 @@ TEST(BudgetedRun, BudgetedCellMatchesStandaloneRun) {
   std::vector<CellJob> jobs;
   jobs.push_back({high_p_setup(), factory, fixed});
   jobs.push_back({high_p_setup(), factory, budgeted});
-  const auto batch = run_cells(jobs, 2);
+  const auto batch = run_cells_ex(jobs, {.threads = 2});
   const auto standalone = run_cell(high_p_setup(), factory, budgeted);
-  expect_same_stats(batch[1], standalone);
+  expect_same_stats(batch[1].stats, standalone);
 }
 
 // --- observer interplay --------------------------------------------------

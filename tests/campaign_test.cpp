@@ -196,7 +196,7 @@ TEST(CampaignFingerprint, SensitiveToEveryResultAffectingKnob) {
   EXPECT_NE(cell_fingerprint(validate), fp);
 
   auto environment = base;
-  environment.experiments[0].environment = "bursty-orbit";
+  environment.experiments[0].spec.environment = "bursty-orbit";
   EXPECT_NE(cell_fingerprint(environment), fp);
 
   auto budget = base;
@@ -208,12 +208,12 @@ TEST(CampaignFingerprint, SensitiveToEveryResultAffectingKnob) {
   EXPECT_NE(cell_fingerprint(metrics), fp);
 
   auto row = base;
-  row.experiments[0].rows[0].utilization = 0.76;
+  row.experiments[0].spec.rows[0].utilization = 0.76;
   EXPECT_NE(cell_fingerprint(row), fp);
 
   // Bytes after an embedded NUL are part of the identity too.
   auto nul = base;
-  nul.experiments[0].id = std::string("mini\0x", 6);
+  nul.experiments[0].spec.id = std::string("mini\0x", 6);
   EXPECT_NE(cell_fingerprint(nul), fp);
 }
 
@@ -227,11 +227,11 @@ TEST(CampaignFingerprint, SensitiveToTheEngineAndReplanKnobs) {
   const std::string fp = cell_fingerprint(base);
 
   auto tmr = base;
-  tmr.experiments[0].processors = 3;
+  tmr.experiments[0].spec.processors = 3;
   auto overhead = base;
-  overhead.experiments[0].faults_during_overhead = true;
+  overhead.experiments[0].spec.faults_during_overhead = true;
   auto recompute = base;
-  recompute.experiments[0].recompute_at_commit = true;
+  recompute.experiments[0].spec.recompute_at_commit = true;
   const std::vector<std::string> fingerprints = {
       fp, cell_fingerprint(tmr), cell_fingerprint(overhead),
       cell_fingerprint(recompute)};
@@ -264,7 +264,7 @@ TEST(CampaignFingerprint, SensitiveToANodePeriod) {
     }]
   })");
   auto slower = base;
-  slower.graphs[0].graph.nodes[1].period = 4000.0;
+  slower.graphs[0].spec.graph.nodes[1].period = 4000.0;
   EXPECT_NE(cell_fingerprint(slower), cell_fingerprint(base));
   EXPECT_NE(cell_fingerprint_document(base).find(
                 R"("deadline":2000,"fault_tolerance":0,"name":"b")"),
@@ -389,6 +389,66 @@ TEST_F(CampaignTest, ConcurrentPlanStampsEachCellLikeTheSerialFunctions) {
                   .size())
         << i;
   }
+}
+
+// A matrix environment collapses a scenario's own environment axis in
+// place: each entry binds one spec under its base id, runs in the
+// override environment, and fingerprints like the same scenario
+// written with that environment in place.
+TEST_F(CampaignTest, EnvironmentOverrideCollapsesTheScenarioAxis) {
+  const auto scenario_text = [](const std::string& environment) {
+    return R"({
+      "schema": "adacheck-scenario-v1",
+      "name": "axis",
+      "config": {"runs": 64, "seed": 5},
+      "experiments": [{
+        "id": "mini", "fault_tolerance": 5, "schemes": ["Poisson"],
+        "rows": [{"utilization": 0.8, "lambda": 1.4e-3}], )" +
+           environment + R"(
+      }],
+      "graphs": [{
+        "id": "pair",
+        "graph": {"period": 9000,
+                  "nodes": [{"name": "a", "cycles": 1500},
+                            {"name": "b", "cycles": 1000}],
+                  "edges": [{"from": "a", "to": "b"}]},
+        "schedulers": ["edf"], "lambdas": [1e-3], )" +
+           environment + R"(
+      }]
+    })";
+  };
+  write_file("axis.json",
+             scenario_text(R"("environments": ["poisson", "bursty-orbit"])"));
+  write_file("in_place.json",
+             scenario_text(R"("environment": "bursty-orbit")"));
+  // Without an override the axis expands.
+  const auto axis = scenario::load_scenario_file((dir_ / "axis.json").string());
+  ASSERT_EQ(scenario::bind_experiments(axis).size(), 2u);
+  ASSERT_EQ(scenario::bind_graphs(axis).size(), 2u);
+
+  auto spec = mini_campaign({1});
+  spec.matrix[0].scenario = "axis.json";
+  spec.matrix[0].environments = {"bursty-orbit"};
+  const auto plan = plan_campaign(spec);
+  ASSERT_EQ(plan.cells.size(), 1u);
+  const CampaignCell& cell = plan.cells[0];
+  const auto experiments = scenario::bind_experiments(cell.resolved);
+  const auto graphs = scenario::bind_graphs(cell.resolved);
+  ASSERT_EQ(experiments.size(), 1u);
+  ASSERT_EQ(graphs.size(), 1u);
+  EXPECT_EQ(experiments[0].id, "mini");
+  EXPECT_EQ(graphs[0].id, "pair");
+  EXPECT_EQ(experiments[0].environment, "bursty-orbit");
+  EXPECT_EQ(graphs[0].environment, "bursty-orbit");
+  EXPECT_EQ(cell.sweep_cells, 2u);
+
+  auto in_place = mini_campaign({1});
+  in_place.matrix[0].scenario = "in_place.json";
+  const auto reference = plan_campaign(in_place);
+  ASSERT_EQ(reference.cells.size(), 1u);
+  EXPECT_EQ(cell_fingerprint_document(cell.resolved),
+            cell_fingerprint_document(reference.cells[0].resolved));
+  EXPECT_EQ(cell.fingerprint, reference.cells[0].fingerprint);
 }
 
 TEST_F(CampaignTest, PlanAppliesRunsAndBudgetOverrides) {

@@ -77,7 +77,9 @@ TEST(GraphExecutiveAllocations, NonePerRunAfterTheFirst) {
             EXPECT_EQ(allocations, 0);
             // Guard against a vacuous pin: the runs did draw faults, and
             // the counter sees the one-shot form build its executive.
-            if (lambda >= 1e-3) EXPECT_GT(faults, 0);
+            if (lambda >= 1e-3) {
+              EXPECT_GT(faults, 0);
+            }
             EXPECT_GT(allocations_in([&] {
                         sched::run_graph_executive(
                             spec.graph, harness::graph_executive_config(

@@ -1,6 +1,6 @@
-// The scenario subsystem: schema parsing, path-qualified validation
-// errors with "did you mean" suggestions, binder lowering onto
-// harness::ExperimentSpec, and the acceptance pin — a scenario-driven
+// The scenario subsystem: schema parsing straight into harness specs,
+// path-qualified validation errors with "did you mean" suggestions,
+// environment-axis binding, and the acceptance pin — a scenario-driven
 // sweep is byte-identical in its cell section to the programmatic
 // equivalent at any thread count.
 #include "scenario/spec.hpp"
@@ -42,14 +42,14 @@ TEST(ScenarioParse, DefaultsApplied) {
   EXPECT_TRUE(scenario.output.empty());
   ASSERT_EQ(scenario.experiments.size(), 1u);
   const auto& exp = scenario.experiments[0];
-  EXPECT_EQ(exp.title, "grid");
-  EXPECT_DOUBLE_EQ(exp.costs.store, 2.0);
-  EXPECT_DOUBLE_EQ(exp.costs.compare, 20.0);
-  EXPECT_DOUBLE_EQ(exp.deadline, 10'000.0);
-  EXPECT_DOUBLE_EQ(exp.speed_ratio, 2.0);
-  EXPECT_DOUBLE_EQ(exp.voltage_kappa, 4.0);
-  EXPECT_EQ(exp.util_level, 0u);
-  EXPECT_EQ(exp.environment, "poisson");
+  EXPECT_EQ(exp.spec.title, "grid");
+  EXPECT_DOUBLE_EQ(exp.spec.costs.store, 2.0);
+  EXPECT_DOUBLE_EQ(exp.spec.costs.compare, 20.0);
+  EXPECT_DOUBLE_EQ(exp.spec.deadline, 10'000.0);
+  EXPECT_DOUBLE_EQ(exp.spec.speed_ratio, 2.0);
+  EXPECT_DOUBLE_EQ(exp.spec.voltage.kappa, 4.0);
+  EXPECT_EQ(exp.spec.util_level, 0u);
+  EXPECT_EQ(exp.spec.environment, "poisson");
   EXPECT_TRUE(exp.environments.empty());
 }
 
@@ -132,23 +132,23 @@ std::string with_knob(const std::string& knob) {
 }
 
 TEST(ScenarioParse, EngineAndReplanKnobs) {
-  const auto defaults = parse_scenario_text(kMinimal).experiments[0];
+  const auto defaults = parse_scenario_text(kMinimal).experiments[0].spec;
   EXPECT_EQ(defaults.processors, 2);
   EXPECT_FALSE(defaults.faults_during_overhead);
   EXPECT_FALSE(defaults.recompute_at_commit);
 
-  const auto exp = parse_scenario_text(kKnobs).experiments[0];
+  const auto exp = parse_scenario_text(kKnobs).experiments[0].spec;
   EXPECT_EQ(exp.processors, 3);
   EXPECT_TRUE(exp.faults_during_overhead);
   EXPECT_TRUE(exp.recompute_at_commit);
   // The range ends are accepted.
   EXPECT_EQ(parse_scenario_text(with_knob(R"("processors": 2)"))
                 .experiments[0]
-                .processors,
+                .spec.processors,
             2);
   EXPECT_EQ(parse_scenario_text(with_knob(R"("processors": 32)"))
                 .experiments[0]
-                .processors,
+                .spec.processors,
             32);
 }
 
@@ -255,7 +255,10 @@ TEST(ScenarioRun, ByteIdenticalToProgrammaticTableSweep) {
       harness::run_sweep({harness::table1a(), harness::table1b()}, config);
 
   const harness::JsonReportOptions no_perf{/*include_perf=*/false};
-  EXPECT_EQ(harness::sweep_json(run_scenario(scenario), no_perf),
+  EXPECT_EQ(harness::sweep_json(
+                harness::run_sweep(bind_experiments(scenario),
+                                   monte_carlo_config(scenario)),
+                no_perf),
             harness::sweep_json(programmatic, no_perf));
 }
 
@@ -264,11 +267,12 @@ TEST(ScenarioRun, ByteIdenticalAcrossThreadCounts) {
   scenario.config.runs = 300;
   scenario.config.threads = 1;
   const harness::JsonReportOptions no_perf{/*include_perf=*/false};
-  const std::string serial =
-      harness::sweep_json(run_scenario(scenario), no_perf);
+  const auto specs = bind_experiments(scenario);
+  const std::string serial = harness::sweep_json(
+      harness::run_sweep(specs, monte_carlo_config(scenario)), no_perf);
   scenario.config.threads = 4;
-  const std::string parallel =
-      harness::sweep_json(run_scenario(scenario), no_perf);
+  const std::string parallel = harness::sweep_json(
+      harness::run_sweep(specs, monte_carlo_config(scenario)), no_perf);
   EXPECT_EQ(serial, parallel);
 }
 
@@ -284,16 +288,17 @@ TEST(ScenarioRun, EmbeddedNulInAnIdRoundTripsThroughEveryEncoder) {
                      "rows": [{"utilization": 0.8, "lambda": 1.4e-3}]}]
   })json");
   const std::string id("sm\0oke", 6);
-  ASSERT_EQ(scenario.experiments[0].id, id);
+  ASSERT_EQ(scenario.experiments[0].spec.id, id);
 
+  const auto specs = bind_experiments(scenario);
   std::ostringstream jsonl;
-  harness::JsonlCellStream stream(
-      jsonl, harness::sweep_cell_refs(bind_experiments(scenario)));
+  harness::JsonlCellStream stream(jsonl, harness::sweep_cell_refs(specs));
   harness::SweepOptions options;
   options.observer = &stream;
   const harness::JsonReportOptions no_perf{/*include_perf=*/false};
-  const auto report = util::json::parse(
-      harness::sweep_json(run_scenario(scenario, options), no_perf));
+  const auto report = util::json::parse(harness::sweep_json(
+      harness::run_sweep(specs, monte_carlo_config(scenario), options),
+      no_perf));
   EXPECT_EQ(report.find("experiments")->as_array()[0].find("id")->as_string(),
             id);
 
@@ -336,7 +341,7 @@ TEST(ScenarioParse, GraphDefaultsAndBinding) {
   const auto scenario = parse_scenario_text(kGraphScenario);
   EXPECT_TRUE(scenario.experiments.empty());
   ASSERT_EQ(scenario.graphs.size(), 1u);
-  const auto& parsed = scenario.graphs[0];
+  const auto& parsed = scenario.graphs[0].spec;
   EXPECT_EQ(parsed.title, "diamond");  // defaults to the id
   EXPECT_EQ(parsed.instances, 8);
   EXPECT_TRUE(parsed.skip_late_jobs);
@@ -373,7 +378,7 @@ TEST(ScenarioParse, GraphNodeOwnReleaseStream) {
                             "phase": 5000},
                            {"name": "g", "cycles": 100}]}}
     ]})json");
-  const auto& nodes = scenario.graphs[0].graph.nodes;
+  const auto& nodes = scenario.graphs[0].spec.graph.nodes;
   ASSERT_EQ(nodes.size(), 3u);
   EXPECT_DOUBLE_EQ(nodes[0].period, 10'000.0);
   EXPECT_DOUBLE_EQ(nodes[0].relative_deadline(), 6'000.0);

@@ -20,6 +20,7 @@
 #include <functional>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -92,7 +93,7 @@ std::string batch_jsonl(const scenario::ScenarioSpec& spec) {
   harness::JsonlCellStream stream(bytes, harness::sweep_cell_refs(specs));
   harness::SweepOptions options;
   options.observer = &stream;
-  scenario::run_scenario(spec, options);
+  harness::run_sweep(specs, scenario::monte_carlo_config(spec), options);
   return bytes.str();
 }
 
@@ -397,8 +398,9 @@ TEST(ServeJobManager, InvalidDocumentsFailBeforeQueueing) {
   JobManager manager;
   JobRequest request;
   request.scenario = mini_spec();
-  request.scenario.experiments[0].table = "no-such-table";  // bind fails
-  EXPECT_THROW(manager.submit(request), ScenarioError);
+  // Binding expands the environment axis, which refuses the name.
+  request.scenario.experiments[0].environments = {"no-such-environment"};
+  EXPECT_THROW(manager.submit(request), std::invalid_argument);
 
   const auto id = manager.record_invalid("lab-7", "no experiments");
   const auto info = manager.status(id);

@@ -69,23 +69,6 @@ namespace {
 
 using namespace adacheck;
 
-std::size_t cell_count(const std::vector<harness::ExperimentSpec>& specs) {
-  std::size_t cells = 0;
-  for (const auto& spec : specs) {
-    cells += spec.rows.size() * spec.schemes.size();
-  }
-  return cells;
-}
-
-std::size_t graph_cell_count(
-    const std::vector<harness::GraphExperimentSpec>& graphs) {
-  std::size_t cells = 0;
-  for (const auto& spec : graphs) {
-    cells += spec.lambdas.size() * spec.schedulers.size();
-  }
-  return cells;
-}
-
 /// Swallows status chatter under --quiet (a stream with a null
 /// buffer discards everything written to it).
 std::ostream& null_stream() {
@@ -264,7 +247,7 @@ int cmd_run(const util::CliArgs& args) {
   status << "scenario \"" << scenario.name << "\": " << specs.size()
          << " experiments";
   if (!graphs.empty()) status << " + " << graphs.size() << " graphs";
-  status << ", " << (cell_count(specs) + graph_cell_count(graphs))
+  status << ", " << harness::sweep_cell_refs(specs, graphs).size()
          << " cells x ";
   if (scenario.budget.enabled()) {
     const auto& budget = scenario.budget;
@@ -662,7 +645,7 @@ int cmd_validate(const util::CliArgs& args) {
         const auto graphs = scenario::bind_graphs(scenario);
         std::cout << files[i] << ": ok (" << specs.size() << " experiments";
         if (!graphs.empty()) std::cout << " + " << graphs.size() << " graphs";
-        std::cout << ", " << (cell_count(specs) + graph_cell_count(graphs))
+        std::cout << ", " << harness::sweep_cell_refs(specs, graphs).size()
                   << " cells)\n";
       }
     } catch (const std::exception& e) {

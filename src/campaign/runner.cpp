@@ -19,6 +19,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenario/binder.hpp"
+#include "util/file.hpp"
 #include "util/thread_pool.hpp"
 #include "util/version.hpp"
 
@@ -50,16 +51,31 @@ struct CampaignMetrics {
   }
 };
 
+// The fingerprint document is written canonically (util/canonical_json):
+// members in bytewise key order, and every number spelled as the
+// double a JSON reader makes of it, so an integer goes through number()
+// first (runs 1000000 is written "1e+06").
+double number(std::integral auto v) { return static_cast<double>(v); }
+
 void write_budget(obs::JsonWriter& json, const sim::RunBudget& budget) {
   json.begin_object();
-  if (budget.target_p_halfwidth > 0.0) {
-    json.kv("target_p_halfwidth", budget.target_p_halfwidth);
-  }
+  if (budget.max_runs > 0) json.kv("max_runs", number(budget.max_runs));
+  if (budget.min_runs > 0) json.kv("min_runs", number(budget.min_runs));
   if (budget.target_e_rel_halfwidth > 0.0) {
     json.kv("target_e_rel_halfwidth", budget.target_e_rel_halfwidth);
   }
-  if (budget.min_runs > 0) json.kv("min_runs", budget.min_runs);
-  if (budget.max_runs > 0) json.kv("max_runs", budget.max_runs);
+  if (budget.target_p_halfwidth > 0.0) {
+    json.kv("target_p_halfwidth", budget.target_p_halfwidth);
+  }
+  json.end_object();
+}
+
+void write_costs(obs::JsonWriter& json, const model::CheckpointCosts& costs) {
+  json.key("costs");
+  json.begin_object();
+  json.kv("compare", costs.compare);
+  json.kv("rollback", costs.rollback);
+  json.kv("store", costs.store);
   json.end_object();
 }
 
@@ -67,16 +83,6 @@ fs::path resolve_ref(const CampaignSpec& spec, const std::string& ref) {
   const fs::path path(ref);
   if (path.is_absolute() || spec.base_dir.empty()) return path;
   return fs::path(spec.base_dir) / path;
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(path.string() + ": cannot open file");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 fs::path payload_path(const std::string& cache_dir, const std::string& fp) {
@@ -87,49 +93,79 @@ fs::path meta_path(const std::string& cache_dir, const std::string& fp) {
   return fs::path(cache_dir) / (fp + ".meta.json");
 }
 
-/// A committed cache entry: the payload bytes plus meta provenance.
-struct CacheEntry {
-  std::string bytes;
-  std::string result_hash;   ///< content_hash128 hex of `bytes`, verified
-  long long total_runs = 0;  ///< runs the original execution performed
+/// The meta schema cache_store writes.  v2 entries carry the word-wise
+/// content_hash128; a v1 entry (FNV-era hashes and fingerprints) is
+/// reported as written by an older adacheck, and gc prunes it.
+constexpr std::string_view kMetaSchema = "adacheck-cache-meta-v2";
+
+/// One committed cache entry, as the single cache-entry check found it.
+struct CheckedEntry {
+  /// Meta or payload file absent (or unreadable): an ordinary miss.
+  bool missing = false;
+  /// "" when the entry verifies; else what failed, for `campaign ls`.
+  std::string defect;
+  util::json::Value meta;   ///< the parsed meta (verified entries)
+  std::string bytes;        ///< the payload (verified entries)
+  std::string result_hash;  ///< content_hash128 hex of `bytes`, verified
+
+  bool valid() const { return !missing && defect.empty(); }
 };
 
-/// Loads and verifies a cache entry; nullopt on any defect (missing
-/// file, unparsable meta, fingerprint or hash mismatch) — defects are
-/// misses, never errors, so a corrupted cache heals itself.  When
-/// `corrupt` is non-null it is set iff both files existed but failed
-/// verification (the telemetry distinction between "never cached" and
-/// "cached but damaged").
-std::optional<CacheEntry> cache_load(const std::string& cache_dir,
-                                     const std::string& fingerprint,
-                                     bool* corrupt = nullptr) {
-  const fs::path meta_file = meta_path(cache_dir, fingerprint);
-  const fs::path payload_file = payload_path(cache_dir, fingerprint);
-  std::error_code ec;
-  if (!fs::exists(meta_file, ec) || !fs::exists(payload_file, ec)) {
-    return std::nullopt;
-  }
-  if (corrupt != nullptr) *corrupt = true;  // cleared on success below
-  try {
-    const auto meta = util::json::parse(read_file(meta_file));
-    const util::json::Value* hash = meta.find("result_hash");
-    const util::json::Value* fp = meta.find("fingerprint");
-    if (hash == nullptr || !hash->is_string() || fp == nullptr ||
-        !fp->is_string() || fp->as_string() != fingerprint) {
-      return std::nullopt;
-    }
-    CacheEntry entry;
-    entry.bytes = read_file(payload_file);
-    entry.result_hash = util::content_hash128(entry.bytes).hex();
-    if (entry.result_hash != hash->as_string()) return std::nullopt;
-    if (const util::json::Value* runs = meta.find("total_runs")) {
-      if (runs->is_number()) entry.total_runs = runs->as_int();
-    }
-    if (corrupt != nullptr) *corrupt = false;
+/// The one check of a cache entry, shared by replay (run_campaign,
+/// cache_probe) and inspection (cache_ls): both files present, then the
+/// meta parses, names the current schema and this fingerprint, and its
+/// result_hash matches the payload bytes.  Defects are returned, never
+/// thrown — every one is a miss, so a damaged cache heals itself.
+CheckedEntry check_entry(const std::string& cache_dir,
+                         const std::string& fingerprint) {
+  CheckedEntry entry;
+  std::optional<std::string> meta_text =
+      util::read_file(meta_path(cache_dir, fingerprint).string());
+  std::optional<std::string> payload =
+      util::read_file(payload_path(cache_dir, fingerprint).string());
+  if (!meta_text || !payload) {
+    entry.missing = true;
+    entry.defect =
+        meta_text ? "missing payload" : "missing meta (uncommitted payload)";
     return entry;
-  } catch (const std::exception&) {
-    return std::nullopt;
   }
+  try {
+    entry.meta = util::json::parse(*meta_text);
+  } catch (const std::exception&) {
+    entry.defect = "unparsable meta";
+    return entry;
+  }
+  const util::json::Value* schema = entry.meta.find("schema");
+  const util::json::Value* fp = entry.meta.find("fingerprint");
+  const util::json::Value* hash = entry.meta.find("result_hash");
+  const std::string_view schema_name =
+      schema != nullptr && schema->is_string()
+          ? std::string_view(schema->as_string())
+          : std::string_view();
+  if (schema_name == "adacheck-cache-meta-v1") {
+    entry.defect = "written by an older adacheck: adacheck-cache-meta-v1";
+  } else if (schema_name != kMetaSchema) {
+    entry.defect = "meta schema is not " + std::string(kMetaSchema);
+  } else if (fp == nullptr || !fp->is_string() ||
+             fp->as_string() != fingerprint) {
+    entry.defect = "meta names a different fingerprint";
+  } else if (hash == nullptr || !hash->is_string()) {
+    entry.defect = "meta lacks result_hash";
+  } else {
+    entry.result_hash = util::content_hash128(*payload).hex();
+    if (entry.result_hash != hash->as_string()) {
+      entry.defect = "payload bytes do not match result_hash";
+    } else {
+      entry.bytes = std::move(*payload);
+    }
+  }
+  return entry;
+}
+
+/// Reads a numeric meta member; 0 when absent or not a number.
+long long meta_int(const util::json::Value& meta, const char* key) {
+  const util::json::Value* v = meta.find(key);
+  return v != nullptr && v->is_number() ? v->as_int() : 0;
 }
 
 /// Suffix of the temp files cache_store renames into place; never
@@ -173,7 +209,7 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
   std::ostringstream meta;
   obs::JsonWriter json(meta);
   json.begin_object();
-  json.kv("schema", "adacheck-cache-meta-v1");
+  json.kv("schema", kMetaSchema);
   json.kv("fingerprint", cell.fingerprint);
   json.kv("code_version", util::version_string());
   json.kv("scenario", cell.resolved.name);
@@ -212,77 +248,67 @@ std::string fingerprint_document(
     const scenario::ScenarioSpec& resolved,
     const std::vector<harness::ExperimentSpec>& experiments,
     const std::vector<harness::GraphExperimentSpec>& graphs) {
-  // Emission order here is irrelevant by construction: the document is
-  // re-serialized canonically (sorted keys) before hashing.  What
-  // matters is the field set — everything result-affecting, nothing
-  // else (no threads, no titles, no output paths).
+  // Written canonically in one pass (see number() and write_budget):
+  // members in bytewise key order at every level, so the bytes are
+  // what util::canonical_json would make of them.  What matters beyond
+  // that is the field set — everything result-affecting, nothing else
+  // (no threads, no titles, no output paths).
   std::ostringstream out;
   obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("code_version", util::version_string());
-  json.key("config");
-  json.begin_object();
-  json.kv("runs", resolved.config.runs);
-  json.kv("seed", resolved.config.seed);
-  json.kv("validate", resolved.config.validate);
-  json.end_object();
   if (resolved.budget.enabled()) {
     json.key("budget");
     write_budget(json, resolved.budget);
   }
-  if (!resolved.metrics.empty()) {
-    json.key("metrics");
-    json.begin_array();
-    for (const auto& name : resolved.metrics) json.value(name);
-    json.end_array();
-  }
+  json.kv("code_version", util::version_string());
+  json.key("config");
+  json.begin_object();
+  json.kv("runs", number(resolved.config.runs));
+  json.kv("seed", number(resolved.config.seed));
+  json.kv("validate", resolved.config.validate);
+  json.end_object();
   const harness::ExperimentSpec defaults;
   json.key("experiments");
   json.begin_array();
   for (const auto& spec : experiments) {
     json.begin_object();
-    json.kv("id", spec.id);
-    json.kv("environment", spec.environment);
-    json.key("costs");
-    json.begin_object();
-    json.kv("store", spec.costs.store);
-    json.kv("compare", spec.costs.compare);
-    json.kv("rollback", spec.costs.rollback);
-    json.end_object();
-    json.kv("deadline", spec.deadline);
-    json.kv("fault_tolerance", spec.fault_tolerance);
-    json.kv("speed_ratio", spec.speed_ratio);
-    json.kv("voltage_kappa", spec.voltage.kappa);
-    json.kv("util_level", spec.util_level);
-    // Written only off their defaults, so every fingerprint (and cache
-    // file name) of a spec that leaves them alone stays what it was
-    // before these knobs existed.
-    if (spec.processors != defaults.processors) {
-      json.kv("processors", spec.processors);
-    }
-    if (spec.faults_during_overhead != defaults.faults_during_overhead) {
-      json.kv("faults_during_overhead", spec.faults_during_overhead);
-    }
-    if (spec.recompute_at_commit != defaults.recompute_at_commit) {
-      json.kv("recompute_at_commit", spec.recompute_at_commit);
-    }
     if (spec.budget.enabled()) {
       json.key("budget");
       write_budget(json, spec.budget);
     }
-    json.key("schemes");
-    json.begin_array();
-    for (const auto& scheme : spec.schemes) json.value(scheme);
-    json.end_array();
+    write_costs(json, spec.costs);
+    json.kv("deadline", spec.deadline);
+    json.kv("environment", spec.environment);
+    json.kv("fault_tolerance", number(spec.fault_tolerance));
+    // Written only off their defaults, so every fingerprint (and cache
+    // file name) of a spec that leaves them alone stays what it was
+    // before these knobs existed.
+    if (spec.faults_during_overhead != defaults.faults_during_overhead) {
+      json.kv("faults_during_overhead", spec.faults_during_overhead);
+    }
+    json.kv("id", spec.id);
+    if (spec.processors != defaults.processors) {
+      json.kv("processors", number(spec.processors));
+    }
+    if (spec.recompute_at_commit != defaults.recompute_at_commit) {
+      json.kv("recompute_at_commit", spec.recompute_at_commit);
+    }
     json.key("rows");
     json.begin_array();
     for (const auto& row : spec.rows) {
       json.begin_object();
-      json.kv("utilization", row.utilization);
       json.kv("lambda", row.lambda);
+      json.kv("utilization", row.utilization);
       json.end_object();
     }
     json.end_array();
+    json.key("schemes");
+    json.begin_array();
+    for (const auto& scheme : spec.schemes) json.value(scheme);
+    json.end_array();
+    json.kv("speed_ratio", spec.speed_ratio);
+    json.kv("util_level", number(spec.util_level));
+    json.kv("voltage_kappa", spec.voltage.kappa);
     json.end_object();
   }
   json.end_array();
@@ -293,80 +319,83 @@ std::string fingerprint_document(
     json.begin_array();
     for (const auto& spec : graphs) {
       json.begin_object();
-      json.kv("id", spec.id);
-      json.kv("environment", spec.environment);
-      json.kv("workers", spec.workers);
-      json.kv("instances", spec.instances);
-      json.kv("skip_late_jobs", spec.skip_late_jobs);
-      json.key("costs");
-      json.begin_object();
-      json.kv("store", spec.costs.store);
-      json.kv("compare", spec.costs.compare);
-      json.kv("rollback", spec.costs.rollback);
-      json.end_object();
-      json.kv("speed_ratio", spec.speed_ratio);
-      json.kv("voltage_kappa", spec.voltage.kappa);
       if (spec.budget.enabled()) {
         json.key("budget");
         write_budget(json, spec.budget);
       }
+      write_costs(json, spec.costs);
+      json.kv("environment", spec.environment);
       json.key("graph");
       json.begin_object();
-      json.kv("period", spec.graph.period);
       json.kv("deadline", spec.graph.deadline);
-      json.key("nodes");
-      json.begin_array();
-      for (const auto& node : spec.graph.nodes) {
-        json.begin_object();
-        json.kv("name", node.name);
-        json.kv("cycles", node.cycles);
-        json.kv("fault_tolerance", node.fault_tolerance);
-        json.kv("policy", node.policy);
-        json.key("resources");
-        json.begin_array();
-        for (const auto r : node.resources) json.value(r);
-        json.end_array();
-        if (node.own_period()) {
-          json.kv("period", node.period);
-          json.kv("deadline", node.relative_deadline());
-          json.kv("phase", node.phase);
-        }
-        json.end_object();
-      }
-      json.end_array();
       json.key("edges");
       json.begin_array();
       for (const auto& edge : spec.graph.edges) {
         json.begin_object();
-        json.kv("from", edge.from);
-        json.kv("to", edge.to);
+        json.kv("from", number(edge.from));
+        json.kv("to", number(edge.to));
         json.end_object();
       }
       json.end_array();
+      json.key("nodes");
+      json.begin_array();
+      for (const auto& node : spec.graph.nodes) {
+        json.begin_object();
+        json.kv("cycles", node.cycles);
+        if (node.own_period()) {
+          json.kv("deadline", node.relative_deadline());
+        }
+        json.kv("fault_tolerance", number(node.fault_tolerance));
+        json.kv("name", node.name);
+        if (node.own_period()) {
+          json.kv("period", node.period);
+          json.kv("phase", node.phase);
+        }
+        json.kv("policy", node.policy);
+        json.key("resources");
+        json.begin_array();
+        for (const auto r : node.resources) json.value(number(r));
+        json.end_array();
+        json.end_object();
+      }
+      json.end_array();
+      json.kv("period", spec.graph.period);
       json.key("resources");
       json.begin_array();
       for (const auto& resource : spec.graph.resources) {
         json.begin_object();
+        json.kv("capacity", number(resource.capacity));
         json.kv("name", resource.name);
-        json.kv("capacity", resource.capacity);
         json.end_object();
       }
       json.end_array();
       json.end_object();
-      json.key("schedulers");
-      json.begin_array();
-      for (const auto& scheduler : spec.schedulers) json.value(scheduler);
-      json.end_array();
+      json.kv("id", spec.id);
+      json.kv("instances", number(spec.instances));
       json.key("lambdas");
       json.begin_array();
       for (const auto lambda : spec.lambdas) json.value(lambda);
       json.end_array();
+      json.key("schedulers");
+      json.begin_array();
+      for (const auto& scheduler : spec.schedulers) json.value(scheduler);
+      json.end_array();
+      json.kv("skip_late_jobs", spec.skip_late_jobs);
+      json.kv("speed_ratio", spec.speed_ratio);
+      json.kv("voltage_kappa", spec.voltage.kappa);
+      json.kv("workers", number(spec.workers));
       json.end_object();
     }
     json.end_array();
   }
+  if (!resolved.metrics.empty()) {
+    json.key("metrics");
+    json.begin_array();
+    for (const auto& name : resolved.metrics) json.value(name);
+    json.end_array();
+  }
   json.end_object();
-  return util::canonical_json(util::json::parse(out.str()));
+  return std::move(out).str();
 }
 
 /// Runs body(i) for every i in [0, n), at most `max_parallelism` at a
@@ -477,7 +506,7 @@ bool CampaignResult::any_failed() const {
 
 bool cache_probe(const std::string& cache_dir,
                  const std::string& fingerprint) {
-  return cache_load(cache_dir, fingerprint).has_value();
+  return check_entry(cache_dir, fingerprint).valid();
 }
 
 namespace {
@@ -542,24 +571,22 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   auto try_replay = [&](std::size_t i, std::string& payload_out,
                         std::string& status_out) {
     const CampaignCell& cell = result.plan.cells[i];
-    const bool telemetry = obs::Registry::instance().enabled();
-    bool corrupt = false;
-    auto entry = cache_load(result.cache_dir, cell.fingerprint,
-                            telemetry ? &corrupt : nullptr);
-    if (telemetry) {
-      if (entry) {
+    CheckedEntry entry = check_entry(result.cache_dir, cell.fingerprint);
+    if (obs::Registry::instance().enabled()) {
+      if (entry.valid()) {
         CampaignMetrics::get().cache_hits.add(1);
-      } else if (corrupt) {
+      } else if (!entry.missing) {
+        // Present but failed the check: cached, then damaged.
         CampaignMetrics::get().cache_corrupt.add(1);
       }
       // A plain miss is counted by the execution it forces.
     }
-    if (!entry) return false;
+    if (!entry.valid()) return false;
     CellOutcome& outcome = result.outcomes[i];
     outcome.status = CellStatus::kCached;
     outcome.runs_executed = 0;
-    outcome.result_hash = std::move(entry->result_hash);
-    payload_out = std::move(entry->bytes);
+    outcome.result_hash = std::move(entry.result_hash);
+    payload_out = std::move(entry.bytes);
     status_out = prefix_for(i) + " cached (" +
                  std::to_string(cell.sweep_cells) + " cells)\n";
     return true;
@@ -803,8 +830,6 @@ std::vector<CacheEntryInfo> cache_ls(const std::string& cache_dir) {
   }
 
   struct Stem {
-    bool has_payload = false;
-    bool has_meta = false;
     std::uintmax_t bytes = 0;
     fs::file_time_type mtime{};  ///< the meta's when present
     bool has_mtime = false;
@@ -825,7 +850,6 @@ std::vector<CacheEntryInfo> cache_ls(const std::string& cache_dir) {
       continue;
     }
     Stem& record = stems[stem];
-    (meta ? record.has_meta : record.has_payload) = true;
     const std::uintmax_t size = entry.file_size(fec);
     if (!fec) record.bytes += size;
     const fs::file_time_type mtime = entry.last_write_time(fec);
@@ -847,46 +871,27 @@ std::vector<CacheEntryInfo> cache_ls(const std::string& cache_dir) {
           std::chrono::duration<double>(now - record.mtime).count();
       if (info.age_seconds < 0.0) info.age_seconds = 0.0;
     }
-    if (!record.has_meta) {
-      info.defect = "missing meta (uncommitted payload)";
-    } else if (!record.has_payload) {
-      info.defect = "missing payload";
-    } else {
+    CheckedEntry entry = check_entry(cache_dir, stem);
+    info.valid = entry.valid();
+    info.defect = std::move(entry.defect);
+    if (info.valid) {
+      const util::json::Value& meta = entry.meta;
+      if (const auto* v = meta.find("scenario"); v && v->is_string()) {
+        info.scenario = v->as_string();
+      }
+      if (const auto* v = meta.find("environment"); v && v->is_string()) {
+        info.environment = v->as_string();
+      }
+      if (const auto* v = meta.find("code_version"); v && v->is_string()) {
+        info.code_version = v->as_string();
+      }
       try {
-        const auto meta = util::json::parse(
-            read_file(meta_path(cache_dir, stem)));
-        const util::json::Value* fp = meta.find("fingerprint");
-        const util::json::Value* hash = meta.find("result_hash");
-        if (fp == nullptr || !fp->is_string() || fp->as_string() != stem) {
-          info.defect = "meta names a different fingerprint";
-        } else if (hash == nullptr || !hash->is_string()) {
-          info.defect = "meta lacks result_hash";
-        } else if (util::content_hash128(
-                       read_file(payload_path(cache_dir, stem)))
-                       .hex() != hash->as_string()) {
-          info.defect = "payload bytes do not match result_hash";
-        } else {
-          info.valid = true;
-          if (const auto* v = meta.find("scenario"); v && v->is_string()) {
-            info.scenario = v->as_string();
-          }
-          if (const auto* v = meta.find("environment"); v && v->is_string()) {
-            info.environment = v->as_string();
-          }
-          if (const auto* v = meta.find("seed"); v && v->is_number()) {
-            info.seed = static_cast<std::uint64_t>(v->as_int());
-          }
-          if (const auto* v = meta.find("sweep_cells"); v && v->is_number()) {
-            info.sweep_cells = static_cast<std::size_t>(v->as_int());
-          }
-          if (const auto* v = meta.find("total_runs"); v && v->is_number()) {
-            info.total_runs = v->as_int();
-          }
-          if (const auto* v = meta.find("code_version"); v && v->is_string()) {
-            info.code_version = v->as_string();
-          }
-        }
+        info.seed = static_cast<std::uint64_t>(meta_int(meta, "seed"));
+        info.sweep_cells =
+            static_cast<std::size_t>(meta_int(meta, "sweep_cells"));
+        info.total_runs = meta_int(meta, "total_runs");
       } catch (const std::exception&) {
+        info.valid = false;
         info.defect = "unparsable meta";
       }
     }

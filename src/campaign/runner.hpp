@@ -3,11 +3,13 @@
 //
 // Planning expands a CampaignSpec's matrix into cells — one resolved
 // scenario (overrides applied) per (entry, environment, seed) triple —
-// and stamps each cell with a content fingerprint: the canonical-JSON
-// hash (util/canonical_json.hpp) of everything that determines the
-// cell's results — the bound harness experiment specs, the
-// result-affecting config knobs (runs, seed, validate; NOT threads),
-// the metric suite, and the code-version string.  Two cells with the
+// and stamps each cell with a content fingerprint: the content_hash128
+// (util/canonical_json.hpp) of a canonical JSON document of everything
+// that determines the cell's results — the bound harness experiment
+// specs, the result-affecting config knobs (runs, seed, validate; NOT
+// threads), the metric suite, and the code-version string.  The
+// document is written canonically in one pass (members in bytewise key
+// order, numbers spelled as doubles), never parsed back.  Two cells with the
 // same fingerprint produce byte-identical adacheck-cell-v2 streams, so
 // the fingerprint doubles as the cache key.  Cells are stamped
 // concurrently on the shared pool, each bound once for both its
@@ -17,17 +19,22 @@
 // The cache directory holds two files per fingerprint:
 //
 //   <fp>.jsonl       the cell's adacheck-cell-v2 lines, verbatim
-//   <fp>.meta.json   provenance + content_hash128 of the .jsonl bytes
+//   <fp>.meta.json   adacheck-cache-meta-v2: provenance + the
+//                    content_hash128 of the .jsonl bytes (result_hash)
 //
 // Each file is committed by writing a temp file unique to the writer
 // (a ".tmp" name, never mistaken for an entry) and renaming it into
 // place, payload first and meta last: the meta is the commit marker.
 // Readers therefore never see a partially written file, a payload
-// without meta (crashed writer) is an ordinary miss, and a meta whose
-// result_hash does not match the payload bytes (manual edit, or files
-// from two different commits) is treated as a miss too — the cache can
-// only replay exactly what a fresh run would produce.  Temp files a
-// crash leaves behind are swept by cache_gc.
+// without meta (crashed writer) is an ordinary miss, and one check
+// (shared by replay, cache_probe and cache_ls) takes the meta's parse,
+// schema, fingerprint and result_hash in that order: an entry failing
+// any of them (manual edit, files from two different commits) is a
+// miss too — the cache can only replay exactly what a fresh run would
+// produce.  A v1 meta was written by an older adacheck whose hash (and
+// so every fingerprint) differed: its cells re-execute once, `ls` says
+// so, and cache_gc prunes those entries.  Temp files a crash leaves
+// behind are swept by cache_gc.
 //
 // run_campaign first verifies every cache hit CONCURRENTLY (read,
 // hash, compare against the meta; the verified hash is the outcome's
@@ -81,9 +88,9 @@ struct CampaignPlan {
 };
 
 /// The canonical-JSON document a cell's fingerprint hashes (exposed so
-/// tests can pin its stability properties).  Key order in the result
-/// is canonical regardless of emission order; includes the
-/// code-version string.
+/// tests can pin its stability properties): written directly in
+/// util::canonical_json's form, so it is that function's fixed point;
+/// includes the code-version string.
 std::string cell_fingerprint_document(const scenario::ScenarioSpec& resolved);
 
 /// content_hash128 of the fingerprint document, as 32 hex chars.
@@ -174,9 +181,11 @@ std::string campaign_json(const CampaignSpec& spec,
 // --- cache inspection and pruning (`adacheck campaign ls` / `gc`) --------
 
 /// One cache entry as found on disk.  `valid` means what cache_probe
-/// means: meta parses, names the same fingerprint, and its result_hash
-/// matches the payload bytes; anything else is a defect run_campaign
-/// would treat as a miss, and `defect` says which.
+/// means: meta parses, has schema adacheck-cache-meta-v2, names the
+/// same fingerprint, and its result_hash matches the payload bytes;
+/// anything else is a defect run_campaign would treat as a miss, and
+/// `defect` says which ("written by an older adacheck: ..." for a v1
+/// meta).
 struct CacheEntryInfo {
   std::string fingerprint;
   bool valid = false;

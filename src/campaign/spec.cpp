@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "model/fault_env.hpp"
 #include "scenario/schema.hpp"
+#include "util/file.hpp"
 
 namespace adacheck::campaign {
 
@@ -149,14 +148,12 @@ CampaignSpec parse_campaign_text(std::string_view text) {
 }
 
 CampaignSpec load_campaign_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     throw std::runtime_error(path + ": cannot open campaign file");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   try {
-    CampaignSpec spec = parse_campaign_text(buffer.str());
+    CampaignSpec spec = parse_campaign_text(*text);
     spec.base_dir = std::filesystem::path(path).parent_path().string();
     return spec;
   } catch (const util::json::ParseError& e) {

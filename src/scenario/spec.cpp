@@ -1,8 +1,6 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "harness/paper_params.hpp"
@@ -13,6 +11,7 @@
 #include "scenario/binder.hpp"
 #include "scenario/schema.hpp"
 #include "sim/metrics.hpp"
+#include "util/file.hpp"
 #include "util/text.hpp"
 
 namespace adacheck::scenario {
@@ -679,14 +678,12 @@ ScenarioSpec parse_scenario_text(std::string_view text) {
 }
 
 ScenarioSpec load_scenario_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     throw std::runtime_error(path + ": cannot open scenario file");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   try {
-    return parse_scenario_text(buffer.str());
+    return parse_scenario_text(*text);
   } catch (const util::json::ParseError& e) {
     throw std::runtime_error(path + ": " + e.what());
   } catch (const ScenarioError& e) {

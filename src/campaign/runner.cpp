@@ -104,6 +104,8 @@ struct CheckedEntry {
   bool missing = false;
   /// "" when the entry verifies; else what failed, for `campaign ls`.
   std::string defect;
+  /// The defect is only that an older adacheck wrote the entry.
+  bool stale = false;
   util::json::Value meta;   ///< the parsed meta (verified entries)
   std::string bytes;        ///< the payload (verified entries)
   std::string result_hash;  ///< content_hash128 hex of `bytes`, verified
@@ -144,6 +146,7 @@ CheckedEntry check_entry(const std::string& cache_dir,
           : std::string_view();
   if (schema_name == "adacheck-cache-meta-v1") {
     entry.defect = "written by an older adacheck: adacheck-cache-meta-v1";
+    entry.stale = true;
   } else if (schema_name != kMetaSchema) {
     entry.defect = "meta schema is not " + std::string(kMetaSchema);
   } else if (fp == nullptr || !fp->is_string() ||
@@ -873,6 +876,7 @@ std::vector<CacheEntryInfo> cache_ls(const std::string& cache_dir) {
     }
     CheckedEntry entry = check_entry(cache_dir, stem);
     info.valid = entry.valid();
+    info.stale = entry.stale;
     info.defect = std::move(entry.defect);
     if (info.valid) {
       const util::json::Value& meta = entry.meta;

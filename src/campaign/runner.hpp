@@ -190,6 +190,9 @@ struct CacheEntryInfo {
   std::string fingerprint;
   bool valid = false;
   std::string defect;       ///< "" when valid
+  /// Invalid only because an older adacheck wrote it (a v1 meta): the
+  /// bytes may be intact, but the entry is never replayed.
+  bool stale = false;
   std::string scenario;     ///< meta provenance (valid entries only)
   std::string environment;
   std::uint64_t seed = 0;

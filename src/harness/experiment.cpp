@@ -1,5 +1,7 @@
 #include "harness/experiment.hpp"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "model/fault.hpp"
@@ -85,6 +87,87 @@ std::uint64_t cell_seed(std::uint64_t master, std::size_t row,
   return util::derive_seed(master, (row << 8) ^ scheme ^ 0xC311ULL);
 }
 
+namespace {
+
+/// Appends fixed-width values and length-prefixed strings to a result
+/// key, so no two different input sequences write the same bytes.
+class KeyWriter {
+ public:
+  KeyWriter& add(double value) {
+    return add(std::bit_cast<std::uint64_t>(value));
+  }
+  KeyWriter& add(std::uint64_t value) {
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    key_.append(bytes, sizeof value);
+    return *this;
+  }
+  KeyWriter& add(const std::string& text) {
+    add(static_cast<std::uint64_t>(text.size()));
+    key_ += text;
+    return *this;
+  }
+  std::string take() { return std::move(key_); }
+
+ private:
+  std::string key_;
+};
+
+std::uint64_t flag(bool value) { return value ? 1 : 0; }
+
+}  // namespace
+
+std::string cell_result_key(const sim::SimSetup& setup,
+                            const std::string& scheme,
+                            std::size_t util_level, bool recompute_at_commit,
+                            const sim::MonteCarloConfig& config) {
+  KeyWriter key;
+  // The task without its name: the name is a label no run reads.
+  key.add(setup.task.cycles)
+      .add(setup.task.deadline)
+      .add(setup.task.period)
+      .add(static_cast<std::uint64_t>(setup.task.fault_tolerance));
+  // A scheme without inner checkpoints charges only the lumped CSCP
+  // cost and the rollback, so t_s and t_cp enter only as their sum.
+  if (policy::plans_inner_checkpoints(scheme)) {
+    key.add(setup.costs.store).add(setup.costs.compare);
+  } else {
+    key.add(setup.costs.cscp());
+  }
+  key.add(setup.costs.rollback);
+  key.add(static_cast<std::uint64_t>(setup.processor.num_levels()));
+  for (std::size_t i = 0; i < setup.processor.num_levels(); ++i) {
+    key.add(setup.processor.level(i).frequency)
+        .add(setup.processor.level(i).voltage);
+  }
+  key.add(setup.fault_model.rate)
+      .add(flag(setup.fault_model.faults_during_overhead))
+      .add(static_cast<std::uint64_t>(setup.fault_model.processors));
+  const auto& env = setup.environment;
+  key.add(static_cast<std::uint64_t>(env.arrival))
+      .add(env.shape)
+      .add(flag(env.burst.enabled))
+      .add(env.burst.rate_multiplier)
+      .add(env.burst.mean_quiet_dwell)
+      .add(env.burst.mean_burst_dwell)
+      .add(env.common_cause_fraction);
+  key.add(scheme)
+      .add(static_cast<std::uint64_t>(util_level))
+      .add(flag(recompute_at_commit));
+  key.add(static_cast<std::uint64_t>(config.runs))
+      .add(config.seed)
+      .add(flag(config.validate))
+      .add(config.budget.target_p_halfwidth)
+      .add(config.budget.target_e_rel_halfwidth)
+      .add(static_cast<std::uint64_t>(config.budget.min_runs))
+      .add(static_cast<std::uint64_t>(config.budget.max_runs));
+  const std::vector<std::string> no_metrics;
+  const auto& metrics = config.metrics ? config.metrics->names() : no_metrics;
+  key.add(static_cast<std::uint64_t>(metrics.size()));
+  for (const auto& name : metrics) key.add(name);
+  return key.take();
+}
+
 std::vector<sim::CellJob> experiment_jobs(
     const ExperimentSpec& spec, const sim::MonteCarloConfig& config) {
   spec.validate();
@@ -96,11 +179,14 @@ std::vector<sim::CellJob> experiment_jobs(
       sim::MonteCarloConfig cell_config = config;
       cell_config.seed = cell_seed(config.seed, r, s);
       if (spec.budget.enabled()) cell_config.budget = spec.budget;
+      std::string key =
+          cell_result_key(setup, spec.schemes[s], spec.util_level,
+                          spec.recompute_at_commit, cell_config);
       jobs.push_back(
           {setup,
            policy::make_policy_factory(spec.schemes[s], spec.util_level,
                                        spec.recompute_at_commit),
-           cell_config});
+           cell_config, {}, std::move(key)});
     }
   }
   return jobs;

@@ -101,8 +101,25 @@ std::vector<ExperimentSpec> with_environments(
 std::uint64_t cell_seed(std::uint64_t master, std::size_t row,
                         std::size_t scheme) noexcept;
 
+/// The result key of one classic cell (see sim::CellJob::key): the
+/// exact bit patterns of every input its runs read.  That is the task
+/// without its name, every processor level, the fault model and
+/// environment, the scheme, `util_level`, `recompute_at_commit`, and
+/// the config's runs, seed, validate flag, budget and metric-suite
+/// names (not `threads`).  For a scheme that never plans inner
+/// checkpoints (policy::plans_inner_checkpoints) the key holds t_s +
+/// t_cp and t_r; for every other scheme t_s, t_cp and t_r.  So a
+/// baseline cell of an SCP-flavor table (t_s = 2, t_cp = 20) and its
+/// CCP-flavor twin (t_s = 20, t_cp = 2) share one key.
+std::string cell_result_key(const sim::SimSetup& setup,
+                            const std::string& scheme,
+                            std::size_t util_level, bool recompute_at_commit,
+                            const sim::MonteCarloConfig& config);
+
 /// The flat Monte-Carlo job list for every (row, scheme) cell of the
-/// spec, in row-major order (exposed for run_sweep and tests).
+/// spec, in row-major order (exposed for run_sweep and tests).  Every
+/// job carries its cell_result_key, so run_sweep executes each
+/// distinct cell once.
 std::vector<sim::CellJob> experiment_jobs(const ExperimentSpec& spec,
                                           const sim::MonteCarloConfig& config);
 

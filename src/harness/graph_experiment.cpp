@@ -244,19 +244,12 @@ std::vector<sim::CellJob> graph_experiment_jobs(
   spec.validate();
   // One shared immutable copy for every cell's runner closure.
   const auto shared = std::make_shared<const GraphExperimentSpec>(spec);
-  // CellJob::setup/factory are unused on the runner path but the
-  // member still needs constructing (SimSetup has no default state).
-  const sim::SimSetup placeholder(
-      model::TaskSpec{spec.graph.critical_path_cycles(),
-                      spec.graph.end_to_end_deadline(), 0.0, 0, spec.id},
-      spec.costs,
-      model::DvsProcessor::two_speed(spec.speed_ratio, spec.voltage),
-      model::FaultModel{0.0, false});
   std::vector<sim::CellJob> jobs;
   jobs.reserve(spec.lambdas.size() * spec.schedulers.size());
   for (std::size_t r = 0; r < spec.lambdas.size(); ++r) {
     for (std::size_t s = 0; s < spec.schedulers.size(); ++s) {
-      sim::CellJob job{placeholder, {}, config, {}};
+      // A runner job: no setup, no factory, no result key.
+      sim::CellJob job{std::nullopt, {}, config};
       job.config.seed = graph_cell_seed(config.seed, r);
       if (spec.budget.enabled()) job.config.budget = spec.budget;
       const double lambda = spec.lambdas[r];

@@ -124,6 +124,7 @@ void write_sweep_json(const SweepResult& sweep, std::ostream& os,
     json.kv("runs_per_second", sweep.perf.runs_per_second);
     json.kv("threads", sweep.perf.threads);
     json.kv("cells", sweep.perf.cells);
+    json.kv("cells_shared", sweep.perf.cells_shared);
     json.end_object();
   }
 

@@ -33,9 +33,11 @@ SweepResult run_sweep(const std::vector<ExperimentSpec>& specs,
   }
 
   int threads_used = 1;
+  std::size_t cells_shared = 0;
   sim::RunCellsOptions run_options;
   run_options.threads = config.threads;
   run_options.threads_used = &threads_used;
+  run_options.cells_shared = &cells_shared;
   run_options.observer = options.observer;
   run_options.cancel = options.cancel;
   const auto t0 = std::chrono::steady_clock::now();
@@ -58,6 +60,7 @@ SweepResult run_sweep(const std::vector<ExperimentSpec>& specs,
   result.perf.wall_seconds =
       std::chrono::duration<double>(t1 - t0).count();
   result.perf.cells = jobs.size();
+  result.perf.cells_shared = cells_shared;
   // Count the runs actually aggregated: for budgeted cells that is
   // where each one stopped, for fixed cells exactly cells x runs.
   result.perf.total_runs = 0;

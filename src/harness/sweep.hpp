@@ -11,6 +11,18 @@
 // Results are bit-identical to sequential run_experiment calls with
 // the same config: cells are seeded by (row, scheme) via cell_seed()
 // and chunk merge order is thread-count independent.
+//
+// Each distinct cell runs once.  Every classic cell carries a result
+// key (harness::cell_result_key): the exact bit patterns of every
+// input its runs read, names excluded.  The queue executes the first
+// cell of each key and copies its result to later cells with the same
+// key (sim::run_cells_ex).  Because seeds depend only on (row, scheme),
+// the paper's CCP-flavor tables 3-4 repeat the Poisson, k-f-t and A_D
+// cells of the SCP-flavor tables 1-2: those schemes plan no inner
+// checkpoint, so they read only c = t_s + t_cp = 22, and whether a
+// scheme does is declared by policy::plans_inner_checkpoints next to
+// make_policy.  scenarios/paper_tables.json thus executes 130 of its
+// 208 cells.  Graph cells carry no key and never share.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +42,10 @@ struct SweepPerf {
   long long total_runs = 0;
   double runs_per_second = 0.0;  ///< total_runs / wall_seconds
   int threads = 0;               ///< parallelism cap actually applied
-  std::size_t cells = 0;         ///< (row, scheme) cells executed
+  std::size_t cells = 0;         ///< flat cells of the sweep
+  /// Cells that took an earlier cell's result instead of executing
+  /// (same result key); cells - cells_shared cells executed.
+  std::size_t cells_shared = 0;
 };
 
 /// Every spec's measured cells plus the sweep's perf metrics.

@@ -9,6 +9,20 @@ namespace adacheck::policy {
 
 namespace {
 
+/// Every scheme make_policy builds, in known_policies() order, with
+/// whether it ever plans inner checkpoints (SCPs or CCPs between two
+/// CSCPs).  A new scheme is added here as well as to make_policy.
+struct SchemeInfo {
+  const char* name;
+  bool plans_inner;
+};
+
+constexpr SchemeInfo kSchemes[] = {
+    {"Poisson", false},     {"k-f-t", false},      {"A_D", false},
+    {"A_D_S", true},        {"A_D_C", true},       {"adapchp-SCP", true},
+    {"adapchp-CCP", true},  {"A_D-est", false},    {"A_D_S-est", true},
+    {"A_D_C-est", true}};
+
 /// The adaptive configuration a scheme name selects; throws for names
 /// that are neither adaptive nor a fixed-interval baseline.
 AdaptiveConfig adaptive_config(const std::string& name,
@@ -55,10 +69,17 @@ sim::PolicyFactory make_policy_factory(const std::string& name,
   };
 }
 
+bool plans_inner_checkpoints(const std::string& name) {
+  for (const auto& scheme : kSchemes) {
+    if (name == scheme.name) return scheme.plans_inner;
+  }
+  throw std::invalid_argument("unknown policy: " + name);
+}
+
 std::vector<std::string> known_policies() {
-  return {"Poisson",     "k-f-t",       "A_D",     "A_D_S",
-          "A_D_C",       "adapchp-SCP", "adapchp-CCP",
-          "A_D-est",     "A_D_S-est",   "A_D_C-est"};
+  std::vector<std::string> names;
+  for (const auto& scheme : kSchemes) names.emplace_back(scheme.name);
+  return names;
 }
 
 }  // namespace adacheck::policy

@@ -35,6 +35,16 @@ sim::PolicyFactory make_policy_factory(const std::string& name,
                                        std::size_t baseline_level = 0,
                                        bool recompute_at_commit = false);
 
+/// True when the named scheme may plan inner checkpoints (an SCP or a
+/// CCP between two CSCPs); false for Poisson, k-f-t, A_D and A_D-est,
+/// whose every interval is one plain CSCP interval.  Such a scheme's
+/// runs read only the lumped cost c = t_s + t_cp and t_r, never t_s or
+/// t_cp alone, which is what lets harness::experiment_jobs give the
+/// SCP- and CCP-flavor tables' baseline cells one result key.  Every
+/// scheme states it next to its name; throws std::invalid_argument for
+/// unknown names.
+bool plans_inner_checkpoints(const std::string& name);
+
 /// All scheme names recognized by make_policy.
 std::vector<std::string> known_policies();
 

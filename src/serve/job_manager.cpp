@@ -80,6 +80,10 @@ bool is_terminal(JobState state) noexcept {
 struct JobManager::Job {
   std::uint64_t id = 0;
   JobRequest request;
+  /// The document as bound at submit; the worker takes and runs these.
+  std::vector<harness::ExperimentSpec> specs;
+  std::vector<harness::GraphExperimentSpec> graphs;
+  std::vector<harness::SweepCellRef> refs;
   JobState state = JobState::kQueued;
   std::size_t cells_total = 0;
   std::size_t cells_done = 0;
@@ -140,12 +144,11 @@ JobManager::~JobManager() { shutdown(); }
 
 std::uint64_t JobManager::submit(JobRequest request) {
   // Bind outside the lock: binding and the cell refs validate the
-  // document (they throw before a job exists) and the result is
-  // discarded — the worker re-binds when the job runs.
-  const std::size_t cells =
-      harness::sweep_cell_refs(scenario::bind_experiments(request.scenario),
-                               scenario::bind_graphs(request.scenario))
-          .size();
+  // document (they throw before a job exists); the job keeps all three
+  // for its worker.
+  auto specs = scenario::bind_experiments(request.scenario);
+  auto graphs = scenario::bind_graphs(request.scenario);
+  auto refs = harness::sweep_cell_refs(specs, graphs);
 
   const bool telemetry = obs::Registry::instance().enabled();
   std::unique_lock<std::mutex> lock(mu_);
@@ -157,7 +160,10 @@ std::uint64_t JobManager::submit(JobRequest request) {
   auto job = std::make_shared<Job>();
   job->id = next_id_++;
   job->request = std::move(request);
-  job->cells_total = cells;
+  job->specs = std::move(specs);
+  job->graphs = std::move(graphs);
+  job->cells_total = refs.size();
+  job->refs = std::move(refs);
   if (telemetry) job->submitted_us = obs::now_micros();
   const std::uint64_t id = job->id;
   jobs_.emplace(id, job);
@@ -339,19 +345,18 @@ void JobManager::execute(Job& job) {
   };
   try {
     if (options_.before_job) options_.before_job(job.id);
-    scenario::ScenarioSpec to_run = job.request.scenario;
-    if (job.request.threads > 0) {
-      to_run.config.threads = job.request.threads;
-    }
-    const auto specs = scenario::bind_experiments(to_run);
-    const auto graphs = scenario::bind_graphs(to_run);
-    SweepAdapter adapter(*this, job,
-                         harness::sweep_cell_refs(specs, graphs));
+    // The bound specs leave the job here, so a finished job no longer
+    // holds them.
+    const auto specs = std::move(job.specs);
+    const auto graphs = std::move(job.graphs);
+    sim::MonteCarloConfig config =
+        scenario::monte_carlo_config(job.request.scenario);
+    if (job.request.threads > 0) config.threads = job.request.threads;
+    SweepAdapter adapter(*this, job, std::move(job.refs));
     harness::SweepOptions options;
     options.observer = &adapter;
     options.cancel = &job.cancel;
-    const auto sweep = harness::run_sweep(
-        specs, graphs, scenario::monte_carlo_config(to_run), options);
+    const auto sweep = harness::run_sweep(specs, graphs, config, options);
     finish(JobState::kDone, "", sweep.perf.total_runs);
   } catch (const sim::SweepCancelled&) {
     finish(JobState::kCancelled, "", job.runs_done);

@@ -150,7 +150,8 @@ class JobManager {
   /// Validates the request by binding its document and checking every
   /// bound spec (throws std::invalid_argument on an invalid in-memory
   /// spec, such as an unknown name on an environment axis), then
-  /// enqueues it.
+  /// enqueues it with the bound specs, which its worker runs as they
+  /// are (the document is bound once per job).
   /// Throws QueueFull when the queue is at the bound.  Returns the job
   /// id (ids are assigned in submit order, starting at 1).
   std::uint64_t submit(JobRequest request);

@@ -5,6 +5,8 @@
 #include <climits>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -85,8 +87,14 @@ void validate_job(const CellJob& job) {
   }
   job.config.budget.validate();
   // Custom-runner jobs own their workload; setup/factory are unused.
-  if (job.runner) return;
-  job.setup.validate();
+  if (job.runner) {
+    if (!job.key.empty()) {
+      throw std::invalid_argument("run_cells_ex: a runner job has a key");
+    }
+    return;
+  }
+  if (!job.setup) throw std::invalid_argument("run_cell: no setup");
+  job.setup->validate();
   if (!job.factory) {
     throw std::invalid_argument("run_cell: null policy factory");
   }
@@ -122,6 +130,20 @@ struct SweepTracker {
   SweepProgress progress;  ///< counters mutated under callback_mu
 };
 
+/// Maps every job to the job whose result it takes: itself, or the
+/// first earlier job with the same non-empty result key (it is then an
+/// alias of that job).
+std::vector<std::size_t> find_primaries(const std::vector<CellJob>& jobs) {
+  std::vector<std::size_t> primary(jobs.size());
+  std::unordered_map<std::string_view, std::size_t> first;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    primary[j] = jobs[j].key.empty()
+                     ? j
+                     : first.try_emplace(jobs[j].key, j).first->second;
+  }
+  return primary;
+}
+
 /// Aligns a run count up to the chunk grain, capped at `max`.  Wide
 /// arithmetic so the doubling schedule cannot overflow near INT_MAX.
 int align_runs(long long runs, int max) {
@@ -135,6 +157,17 @@ int align_runs(long long runs, int max) {
 std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
                                      const RunCellsOptions& options) {
   for (const auto& job : jobs) validate_job(job);
+
+  // aliases[j]: the jobs that take job j's result; they get no plan.
+  const std::vector<std::size_t> primary = find_primaries(jobs);
+  std::vector<std::vector<std::size_t>> aliases(jobs.size());
+  std::size_t shared = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (primary[j] == j) continue;
+    aliases[primary[j]].push_back(j);
+    ++shared;
+  }
+  if (options.cells_shared != nullptr) *options.cells_shared = shared;
 
   std::vector<Chunk> chunks;
   std::vector<JobPlan> plans(jobs.size());
@@ -156,6 +189,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   // contiguous — the exact pre-budget queue layout) plus the first
   // wave of each budgeted job.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (primary[j] != j) continue;
     const auto& config = jobs[j].config;
     if (config.budget.enabled()) {
       plans[j].budgeted = true;
@@ -189,9 +223,22 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
     return options.cancel != nullptr && options.cancel->stop_requested();
   };
 
-  // Merges one completed unbudgeted cell's partials (all written,
-  // ordered by the remaining-counter's acq_rel decrement) and reports
-  // it.
+  // Copies executed job `job`'s result to its aliases and, with an
+  // observer, reports the job and then each alias (start and done).
+  const auto publish = [&](std::size_t job) {
+    for (const std::size_t alias : aliases[job]) results[alias] = results[job];
+    if (!tracker) return;
+    std::lock_guard<std::mutex> lock(tracker->callback_mu);
+    options.observer->on_cell_done(job, results[job]);
+    for (const std::size_t alias : aliases[job]) {
+      options.observer->on_cell_start(alias);
+      options.observer->on_cell_done(alias, results[alias]);
+    }
+  };
+
+  // Merges one unbudgeted cell's partials (all written: after the
+  // queue drained, or ordered by the remaining-counter's acq_rel
+  // decrement) and publishes it.
   const auto complete_cell = [&](std::size_t job) {
     const auto& ids = plans[job].chunk_ids;
     MetricSet merged = std::move(partials[ids.front()]);
@@ -199,8 +246,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
       merged.merge(partials[ids[i]]);
     }
     results[job] = {merged.cell_stats(), merged.values()};
-    std::lock_guard<std::mutex> lock(tracker->callback_mu);
-    options.observer->on_cell_done(job, results[job]);
+    publish(job);
   };
 
   const auto process = [&](int lo, int hi) {
@@ -228,7 +274,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
           partials[static_cast<std::size_t>(c)] =
               job.runner
                   ? job.runner(job.config, chunk.begin, chunk.end)
-                  : run_chunk(job.setup, job.factory, job.config, chunk.begin,
+                  : run_chunk(*job.setup, job.factory, job.config, chunk.begin,
                               chunk.end);
         }
         if (obs::Registry::instance().enabled()) {
@@ -243,7 +289,9 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
           if (cell_done) complete_cell(chunk.job);
           std::lock_guard<std::mutex> lock(tracker->callback_mu);
           tracker->progress.runs_done += chunk.end - chunk.begin;
-          if (cell_done) ++tracker->progress.cells_done;
+          if (cell_done) {
+            tracker->progress.cells_done += 1 + aliases[chunk.job].size();
+          }
           options.observer->on_progress(tracker->progress);
         }
       } catch (...) {
@@ -311,10 +359,10 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
       }
       if (plan.done) {
         results[j] = {plan.prefix.cell_stats(), plan.prefix.values()};
+        publish(j);
         if (tracker) {
           std::lock_guard<std::mutex> lock(tracker->callback_mu);
-          options.observer->on_cell_done(j, results[j]);
-          ++tracker->progress.cells_done;
+          tracker->progress.cells_done += 1 + aliases[j].size();
           options.observer->on_progress(tracker->progress);
         }
       } else {
@@ -341,13 +389,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
     // implementation.  (Budgeted cells were finalized by the round
     // loop either way.)
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (plans[j].budgeted) continue;
-      const auto& ids = plans[j].chunk_ids;
-      MetricSet merged = std::move(partials[ids.front()]);
-      for (std::size_t i = 1; i < ids.size(); ++i) {
-        merged.merge(partials[ids[i]]);
-      }
-      results[j] = {merged.cell_stats(), merged.values()};
+      if (!plans[j].budgeted && primary[j] == j) complete_cell(j);
     }
   }
   return results;
@@ -363,6 +405,14 @@ CellResult run_cell_ex(const SimSetup& setup, const PolicyFactory& factory,
   options.observer = observer;
   options.cancel = cancel;
   return std::move(run_cells_ex(jobs, options)[0]);
+}
+
+CellResult run_cell_ex(const std::optional<SimSetup>& setup,
+                       const PolicyFactory& factory,
+                       const MonteCarloConfig& config,
+                       ISweepObserver* observer, CancellationToken* cancel) {
+  if (!setup) throw std::invalid_argument("run_cell: no setup");
+  return run_cell_ex(*setup, factory, config, observer, cancel);
 }
 
 CellStats run_cell(const SimSetup& setup, const PolicyFactory& factory,

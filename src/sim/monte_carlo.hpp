@@ -22,11 +22,22 @@
 // (sim/observer.hpp) can watch cell completion and progress, and a
 // CancellationToken stops the queue cooperatively; both default to the
 // zero-cost null path.
+//
+// Shared cells: a job may carry a *result key*, a byte string holding
+// every input its runs read.  Jobs with equal non-empty keys yield the
+// same CellResult bit for bit, so run_cells_ex executes only the first
+// of them and copies its result to the rest (the aliases).  The
+// harness builds the keys (harness::experiment_jobs, with each scheme's
+// policy::plans_inner_checkpoints deciding which costs a key holds);
+// a job without a key is always executed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -73,6 +84,15 @@ CellResult run_cell_ex(const SimSetup& setup, const PolicyFactory& factory,
                        ISweepObserver* observer = nullptr,
                        CancellationToken* cancel = nullptr);
 
+/// run_cell_ex on a CellJob's setup, for running one job of a batch
+/// alone (unshared).  Throws std::invalid_argument when the job has no
+/// setup (a ChunkRunner job).
+CellResult run_cell_ex(const std::optional<SimSetup>& setup,
+                       const PolicyFactory& factory,
+                       const MonteCarloConfig& config = {},
+                       ISweepObserver* observer = nullptr,
+                       CancellationToken* cancel = nullptr);
+
 /// Executes one chunk [begin, end) of a cell's runs and returns the
 /// fully-observed MetricSet for it.  Custom workloads (graph cells)
 /// supply one of these instead of a SimSetup/PolicyFactory pair; the
@@ -86,13 +106,20 @@ using ChunkRunner =
 /// One independent cell of a batch.  `config.threads` is ignored here —
 /// run_cells_ex parallelizes across the whole batch, not per cell.
 struct CellJob {
-  SimSetup setup;
+  /// The engine loop's scenario; required unless `runner` is set.
+  std::optional<SimSetup> setup;
   PolicyFactory factory;
   MonteCarloConfig config;
   /// When set, runs chunks through this instead of the built-in
   /// engine loop; `setup`/`factory` are then ignored (and unvalidated).
   /// Optional, so `{setup, factory, config}` leaves it empty.
   ChunkRunner runner = {};
+  /// Result key (see the file comment): a later job whose key equals
+  /// an earlier one's is an alias and takes that job's result without
+  /// executing.  Whoever sets it vouches that the key holds every
+  /// input the runs read.  Empty = never shared; a runner job must
+  /// leave it empty.
+  std::string key = {};
 };
 
 /// Execution knobs for run_cells_ex beyond the job list itself.
@@ -103,6 +130,9 @@ struct RunCellsOptions {
   /// clamped to the chunk count and to pool width + 1 (the waiting
   /// caller helps execute tasks) — what perf reports should record.
   int* threads_used = nullptr;
+  /// When given, receives the number of aliases: jobs that took an
+  /// earlier job's result instead of executing.
+  std::size_t* cells_shared = nullptr;
   /// Cell-completion / progress callbacks (serialized by the runner);
   /// null = no tracking overhead at all.
   ISweepObserver* observer = nullptr;
@@ -115,10 +145,15 @@ struct RunCellsOptions {
 /// Runs every job as one flat chunk queue on the shared thread pool.
 /// Results are identical to calling run_cell per job — bit-identical
 /// for every thread count, since chunking and merge order depend only
-/// on each job's run count.  Observer callbacks fire exactly once per
-/// cell regardless of thread count.  Throws SweepCancelled when the
-/// options' token stopped the sweep early; a throwing recorder or
-/// observer fast-drains the queue and propagates its exception.
+/// on each job's run count.  An alias (a job repeating an earlier
+/// job's result key) schedules no chunk: when the first job with its
+/// key completes, the alias gets a copy of that CellResult and its own
+/// on_cell_start and on_cell_done.  Observer callbacks fire exactly
+/// once per cell regardless of thread count; progress counts every
+/// job as a cell and only executed runs as runs.  Throws
+/// SweepCancelled when the options' token stopped the sweep early; a
+/// throwing recorder or observer fast-drains the queue and propagates
+/// its exception.
 std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
                                      const RunCellsOptions& options = {});
 

@@ -406,7 +406,7 @@ TEST(BudgetedRun, TimeToTargetPrecisionProbe) {
     MonteCarloConfig budgeted = job.config;
     budgeted.threads = threads;
     budgeted.budget.target_p_halfwidth = 0.01;
-    const auto stats = run_cell(job.setup, job.factory, budgeted);
+    const auto stats = run_cell(*job.setup, job.factory, budgeted);
     EXPECT_LE(stats.completion.wilson_halfwidth(), 0.01) << threads;
     EXPECT_LE(5 * stats.completion.trials(), 10'000u) << threads;
     budgeted_runs.push_back(stats.completion.trials());

@@ -957,13 +957,16 @@ TEST_F(CampaignTest, CacheLsLabelsAnOlderAdacheckEntryAndGcPrunesIt) {
   const auto& old = entries[0].fingerprint == old_fp ? entries[0] : entries[1];
   const auto& current = &old == &entries[0] ? entries[1] : entries[0];
   EXPECT_FALSE(old.valid);
+  EXPECT_TRUE(old.stale);  // intact bytes, only written by an older build
   EXPECT_EQ(old.defect,
             "written by an older adacheck: adacheck-cache-meta-v1");
   EXPECT_TRUE(current.valid) << current.defect;
+  EXPECT_FALSE(current.stale);
 
   const auto gc = cache_gc(result.cache_dir, {});
   ASSERT_EQ(gc.removed.size(), 1u);
   EXPECT_EQ(gc.removed[0].fingerprint, old_fp);
+  EXPECT_TRUE(gc.removed[0].stale);
   EXPECT_EQ(gc.kept, 1u);
   EXPECT_FALSE(fs::exists(dir_ / "cache" / (old_fp + ".jsonl")));
   EXPECT_FALSE(fs::exists(dir_ / "cache" / (old_fp + ".meta.json")));
@@ -984,6 +987,7 @@ TEST_F(CampaignTest, CacheGcPrunesCorruptKeepsValid) {
   const auto preview = cache_gc(result.cache_dir, dry);
   ASSERT_EQ(preview.removed.size(), 1u);
   EXPECT_EQ(preview.removed[0].fingerprint, fp);
+  EXPECT_FALSE(preview.removed[0].stale);  // damaged, not merely old
   EXPECT_EQ(preview.kept, 1u);
   // Dry run touched nothing: the defective entry is still there.
   EXPECT_EQ(cache_ls(result.cache_dir).size(), 2u);

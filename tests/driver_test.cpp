@@ -435,7 +435,7 @@ TEST(CampaignDriver, LsAndGcReportCorruptionAgeAndPrunes) {
                                 const std::string& text) {
     expect_exit(dir, "campaign " + verb + " --cache=cache", 0, text);
   };
-  expect_cache("ls", "3 entries (3 valid, 0 corrupt)");
+  expect_cache("ls", "3 entries (3 valid, 0 stale, 0 corrupt)");
 
   // An entry's age is its meta's: ls prints minutes, hours and days.
   std::vector<fs::path> files;
@@ -452,14 +452,27 @@ TEST(CampaignDriver, LsAndGcReportCorruptionAgeAndPrunes) {
     expect_cache("ls", age);
   }
 
+  // An entry an older adacheck wrote (a v1 meta) is STALE, not
+  // CORRUPT, although it is never replayed either.
+  const std::string old_fp(32, '0');
+  std::ofstream(dir / "cache" / (old_fp + ".jsonl")) << "{\"cell\":0}\n";
+  std::ofstream(dir / "cache" / (old_fp + ".meta.json"))
+      << "{\"schema\": \"adacheck-cache-meta-v1\", \"fingerprint\": \""
+      << old_fp << "\"}\n";
+  expect_cache("ls", old_fp +
+                         "  STALE (written by an older adacheck: "
+                         "adacheck-cache-meta-v1)");
+  expect_cache("ls", "4 entries (3 valid, 1 stale, 0 corrupt)");
+
   // A truncated payload flips exactly that entry to CORRUPT; gc
-  // previews, prunes it, then ages out the survivors and a temp file.
+  // previews, prunes it and the stale entry, then ages out the
+  // survivors and a temp file.
   fs::resize_file(files[0], 5);
   expect_cache("ls", "CORRUPT");
-  expect_cache("gc --dry-run", "would remove 1 entries");
-  expect_cache("ls", "3 entries (2 valid, 1 corrupt)");
-  expect_cache("gc", "removed 1 entries");
-  expect_cache("ls", "2 entries (2 valid, 0 corrupt)");
+  expect_cache("gc --dry-run", "would remove 2 entries");
+  expect_cache("ls", "4 entries (2 valid, 1 stale, 1 corrupt)");
+  expect_cache("gc", "removed 2 entries");
+  expect_cache("ls", "2 entries (2 valid, 0 stale, 0 corrupt)");
   std::ofstream(dir / "cache" / "left.jsonl.1-0.tmp") << "partial";
   expect_cache("gc --older-than=1s", "removed 2 entries and 1 temp files");
   expect_cache("ls", "0 entries");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "policy/adaptive.hpp"
+#include "sim/engine.hpp"
+#include "tests/test_helpers.hpp"
 
 namespace adacheck::policy {
 namespace {
@@ -47,6 +49,39 @@ TEST(Factory, FactoryClosureMakesFreshInstances) {
 TEST(Factory, KnownPolicyListIsComplete) {
   const auto names = known_policies();
   EXPECT_EQ(names.size(), 10u);
+}
+
+TEST(Factory, PlansInnerCheckpointsMatchesEveryScheme) {
+  // Declared: an adaptive scheme with an inner kind plans inner
+  // checkpoints; the fixed baselines and A_D never do.
+  for (const auto& name : known_policies()) {
+    const auto policy = make_policy(name);
+    const auto* adaptive =
+        dynamic_cast<const AdaptiveCheckpointPolicy*>(policy.get());
+    EXPECT_EQ(plans_inner_checkpoints(name),
+              adaptive != nullptr &&
+                  adaptive->config().inner != sim::InnerKind::kNone)
+        << name;
+  }
+  EXPECT_THROW(plans_inner_checkpoints("not-a-policy"), std::invalid_argument);
+
+  // Observed: under both cost flavors, at a fault rate where the
+  // adaptive schemes insert inner checkpoints, only the declared
+  // schemes place an SCP or a CCP.
+  for (const auto& name : known_policies()) {
+    long long inner = 0;
+    for (const auto costs : {model::CheckpointCosts::paper_scp_flavor(),
+                             model::CheckpointCosts::paper_ccp_flavor()}) {
+      auto setup = testutil::dvs_setup(7'600.0, 10'000.0, 5, 2.0e-3);
+      setup.costs = costs;
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        const auto policy = make_policy(name);
+        const auto run = sim::simulate_seeded(setup, *policy, seed);
+        inner += run.checkpoints_scp + run.checkpoints_ccp;
+      }
+    }
+    EXPECT_EQ(inner > 0, plans_inner_checkpoints(name)) << name;
+  }
 }
 
 TEST(Factory, EstimatorVariantsEnableRateTracking) {

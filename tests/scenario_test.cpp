@@ -162,8 +162,8 @@ TEST(ScenarioBind, EngineAndReplanKnobsReachTheEngine) {
   const auto jobs = harness::experiment_jobs(specs[0], {});
   ASSERT_EQ(jobs.size(), 2u);  // one row x {Poisson, A_D_S}
   for (const auto& job : jobs) {
-    EXPECT_EQ(job.setup.fault_model.processors, 3);
-    EXPECT_TRUE(job.setup.fault_model.faults_during_overhead);
+    EXPECT_EQ(job.setup->fault_model.processors, 3);
+    EXPECT_TRUE(job.setup->fault_model.faults_during_overhead);
   }
   // recompute_at_commit reaches the adaptive scheme only.
   EXPECT_EQ(jobs[0].factory()->commit_rule(), sim::CommitRule::kKeep);
@@ -172,8 +172,8 @@ TEST(ScenarioBind, EngineAndReplanKnobsReachTheEngine) {
   // Left at their defaults, the knobs bind to the paper's setup.
   const auto plain = harness::experiment_jobs(
       bind_experiments(parse_scenario_text(kMinimal))[0], {});
-  EXPECT_EQ(plain[1].setup.fault_model.processors, 2);
-  EXPECT_FALSE(plain[1].setup.fault_model.faults_during_overhead);
+  EXPECT_EQ(plain[1].setup->fault_model.processors, 2);
+  EXPECT_FALSE(plain[1].setup->fault_model.faults_during_overhead);
   EXPECT_EQ(plain[1].factory()->commit_rule(),
             sim::CommitRule::kDeadlineGuard);
 }

@@ -244,6 +244,30 @@ TEST(ServeJobManager, StreamIsByteIdenticalToBatchRunAtAnyThreads) {
   }
 }
 
+TEST(ServeJobManager, PaperTablesStreamWithSharedCellsMatchesTheBatchRun) {
+  // Tables 3-4 repeat 78 baseline cells of tables 1-2; a job reports
+  // each of the 208 flat cells once, in the batch run's bytes.
+  auto spec = scenario::load_scenario_file(
+      std::string(ADACHECK_SCENARIO_DIR) + "/paper_tables.json");
+  spec.config.runs = 64;
+  const std::string reference = batch_jsonl(spec);
+  JobManager manager;
+  for (const int threads : {1, 4}) {
+    JobRequest request;
+    request.scenario = spec;
+    request.threads = threads;
+    const auto id = manager.submit(request);
+    EXPECT_EQ(stream_all(manager, manager.find(id)), reference)
+        << "threads=" << threads;
+    const auto info = manager.status(id);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->state, JobState::kDone);
+    EXPECT_EQ(info->cells_total, 208u);
+    EXPECT_EQ(info->cells_done, 208u);
+    EXPECT_EQ(info->runs_executed, 208 * 64);  // aggregated runs
+  }
+}
+
 TEST(ServeJobManager, PriorityOrderWithFifoWithinALevel) {
   // One worker; job 1 blocks inside before_job until released, so jobs
   // 2-4 are all queued when the worker picks again.  The pick order

@@ -414,7 +414,7 @@ void print_cache_entry(std::ostream& os, const campaign::CacheEntryInfo& e) {
     os << " seed=" << e.seed << " cells=" << e.sweep_cells
        << " runs=" << e.total_runs;
   } else {
-    os << "CORRUPT (" << e.defect << ")";
+    os << (e.stale ? "STALE (" : "CORRUPT (") << e.defect << ")";
   }
   os << " age=" << format_age(e.age_seconds) << " " << e.bytes << "B\n";
 }
@@ -427,14 +427,17 @@ int cmd_campaign_ls(const util::CliArgs& args) {
   }
   const auto entries = campaign::cache_ls(cache_dir);
   std::size_t valid = 0;
+  std::size_t stale = 0;
   std::uintmax_t bytes = 0;
   for (const auto& entry : entries) {
     if (entry.valid) ++valid;
+    if (entry.stale) ++stale;
     bytes += entry.bytes;
   }
   std::cout << "cache " << cache_dir << ": " << entries.size() << " entries ("
-            << valid << " valid, " << (entries.size() - valid)
-            << " corrupt), " << bytes << " bytes\n";
+            << valid << " valid, " << stale << " stale, "
+            << (entries.size() - valid - stale) << " corrupt), " << bytes
+            << " bytes\n";
   for (const auto& entry : entries) print_cache_entry(std::cout, entry);
   return 0;
 }

@@ -3,16 +3,17 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cctype>
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/json_writer.hpp"
@@ -596,10 +597,14 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   };
 
   // Executes cell i's sweep (cache commit included) into its buffers.
-  // Never throws: execution errors become kFailed outcomes.
+  // Never throws: execution errors become kFailed outcomes.  Each sweep
+  // is internally parallel on the same shared pool; claimants help with
+  // sweep chunks while waiting, so the pool never deadlocks.
+  LockedObserver locked(options.observer);
+  sim::ISweepObserver* observer =
+      options.observer != nullptr ? &locked : nullptr;
   auto execute_cell = [&](std::size_t i, std::string& payload_out,
-                          std::string& status_out,
-                          sim::ISweepObserver* observer) {
+                          std::string& status_out) {
     const CampaignCell& cell = result.plan.cells[i];
     CellOutcome& outcome = result.outcomes[i];
     const bool telemetry = obs::Registry::instance().enabled();
@@ -652,36 +657,35 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  if (options.fail_fast) {
-    // Strictly sequential plan order so "skip everything after the
-    // first failure" stays exact — no cell is even attempted once an
-    // earlier one failed.
-    bool stop = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (stop) {
-        result.outcomes[i].status = CellStatus::kSkipped;
-        continue;
-      }
-      const CampaignCell& cell = result.plan.cells[i];
-      if (options.jsonl != nullptr) *options.jsonl << header_line(cell);
-      std::string payload, status_line;
-      if (!(options.resume && try_replay(i, payload, status_line))) {
-        execute_cell(i, payload, status_line, options.observer);
-      }
-      if (options.jsonl != nullptr) *options.jsonl << payload;
-      if (options.status != nullptr) *options.status << status_line;
-      if (result.outcomes[i].status == CellStatus::kFailed) stop = true;
+  // One pass over the primaries, the first cell with each fingerprint.
+  // A later cell with the same fingerprint (an alias) runs inside its
+  // primary's task, after it: it replays the entry the primary
+  // committed (under --fresh too) and executes only when the primary
+  // failed, so two cells with one fingerprint never execute at once.
+  std::vector<std::size_t> primaries;
+  std::vector<std::vector<std::size_t>> aliases;  // parallel to primaries
+  std::unordered_map<std::string_view, std::size_t> primary_of;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [slot, first] =
+        primary_of.try_emplace(result.plan.cells[i].fingerprint,
+                               primaries.size());
+    if (first) {
+      primaries.push_back(i);
+      aliases.emplace_back();
+    } else {
+      aliases[slot->second].push_back(i);
     }
-    result.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    return result;
   }
 
-  // Concurrent engine.  Emission stays in plan order: each cell's
-  // header/payload/status lines are buffered, and a finalized cell
-  // flushes the contiguous done-prefix under a mutex — so the streams
-  // are byte-identical to a sequential run at any parallelism.
+  // --fail-fast: the plan position of the first failed cell.  No cell
+  // after it starts, and none after it emits — not even an alias its
+  // primary's task replayed before the failure.
+  std::atomic<std::size_t> first_failure{n};
+
+  // Emission stays in plan order: each cell's header/payload/status
+  // lines are buffered, and a finalized cell flushes the contiguous
+  // done-prefix under a mutex — so the streams are byte-identical to
+  // a sequential run at any parallelism.
   std::vector<std::string> payloads(n), status_lines(n);
   std::vector<char> finalized(n, 0);
   std::size_t next_emit = 0;
@@ -690,59 +694,44 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     std::lock_guard<std::mutex> lock(emit_mu);
     finalized[i] = 1;
     while (next_emit < n && finalized[next_emit] != 0) {
-      if (options.jsonl != nullptr) {
-        *options.jsonl << header_line(result.plan.cells[next_emit])
-                       << payloads[next_emit];
+      if (next_emit > first_failure) {
+        result.outcomes[next_emit] = CellOutcome{};  // skipped
+      } else {
+        if (options.jsonl != nullptr) {
+          *options.jsonl << header_line(result.plan.cells[next_emit])
+                         << payloads[next_emit];
+        }
+        if (options.status != nullptr) {
+          *options.status << status_lines[next_emit];
+        }
       }
-      if (options.status != nullptr) *options.status << status_lines[next_emit];
       payloads[next_emit].clear();  // release buffered bytes early
       ++next_emit;
     }
   };
 
-  // Phase 1: verify and replay cache hits concurrently (each hit's
-  // read + hash is independent; finalize keeps emission in plan
-  // order), then split out the misses.  Duplicate fingerprints are
-  // deferred behind their first occurrence so two executions never
-  // race on the same cache files.
-  if (options.resume) {
-    for_each_cell(n, options.cell_parallelism, [&](std::size_t i) {
-      if (try_replay(i, payloads[i], status_lines[i])) finalize(i);
-    });
-  }
-  std::vector<std::size_t> primaries, deferred;
-  std::set<std::string> claimed;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (result.outcomes[i].status == CellStatus::kCached) continue;
-    if (claimed.insert(result.plan.cells[i].fingerprint).second) {
-      primaries.push_back(i);
-    } else {
-      deferred.push_back(i);
-    }
-  }
-
-  // Phase 2: execute the unique-fingerprint misses concurrently.  Each
-  // sweep is internally parallel on the same shared pool; claimants
-  // help with sweep chunks while waiting, so the pool never deadlocks.
-  LockedObserver locked(options.observer);
-  sim::ISweepObserver* observer =
-      options.observer != nullptr ? &locked : nullptr;
-  for_each_cell(primaries.size(), options.cell_parallelism,
-                [&](std::size_t b) {
-                  const std::size_t i = primaries[b];
-                  execute_cell(i, payloads[i], status_lines[i], observer);
-                  finalize(i);
-                });
-
-  // Phase 3: deferred duplicates.  Their primary has committed by now,
-  // so this is normally a replay; a miss (primary failed, or --fresh)
-  // executes sequentially.
-  for (const std::size_t i : deferred) {
-    if (!try_replay(i, payloads[i], status_lines[i])) {
-      execute_cell(i, payloads[i], status_lines[i], options.observer);
+  auto run_cell = [&](std::size_t i, bool replay) {
+    if (i < first_failure) {
+      if (!(replay && try_replay(i, payloads[i], status_lines[i]))) {
+        execute_cell(i, payloads[i], status_lines[i]);
+      }
+      if (options.fail_fast &&
+          result.outcomes[i].status == CellStatus::kFailed) {
+        first_failure = i;
+      }
     }
     finalize(i);
-  }
+  };
+  // --fail-fast runs the primaries one at a time in plan order, so
+  // every cell before the first failure has run when it is found.
+  for_each_cell(primaries.size(),
+                options.fail_fast ? 1 : options.cell_parallelism,
+                [&](std::size_t b) {
+                  run_cell(primaries[b], options.resume);
+                  for (const std::size_t alias : aliases[b]) {
+                    run_cell(alias, true);
+                  }
+                });
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -968,14 +957,19 @@ double parse_duration_seconds(const std::string& text) {
   } else {
     scale = 1.0;
   }
+  // Digits and a decimal point only: std::stod alone also takes a
+  // sign, "nan", "inf" and hex ("0x1").
   std::size_t parsed = 0;
   double value = 0.0;
-  try {
-    value = std::stod(number, &parsed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(text + ": not a duration");
+  if (number.find_first_not_of("0123456789.") == std::string::npos) {
+    try {
+      value = std::stod(number, &parsed);
+    } catch (const std::exception&) {
+      // "." or out of range: parsed stays 0.
+    }
   }
-  if (parsed != number.size() || value < 0.0) {
+  if (number.empty() || parsed != number.size() ||
+      !std::isfinite(value * scale)) {
     throw std::invalid_argument(text + ": not a duration");
   }
   return value * scale;

@@ -36,20 +36,22 @@
 // so, and cache_gc prunes those entries.  Temp files a crash leaves
 // behind are swept by cache_gc.
 //
-// run_campaign first verifies every cache hit CONCURRENTLY (read,
-// hash, compare against the meta; the verified hash is the outcome's
-// result_hash, so each hit is hashed exactly once), then executes the
-// misses concurrently too — cells are independent, so cache-miss cells
-// run as parallel tasks on the shared pool (each internally parallel
-// too).  CampaignOptions::cell_parallelism caps how many cells are in
-// flight in both phases, and fail_fast falls back to strictly
-// sequential plan order so "skip everything after the first failure"
-// stays exact.  Two cells with the same fingerprint never execute
-// concurrently: the first occurrence runs, later duplicates replay its
-// committed result.  Report and JSONL emission stay in deterministic
-// plan order regardless — per-cell output is buffered and flushed as
-// the contiguous done-prefix grows, so buffered bytes are bounded by
-// the out-of-order window — and the stream is byte-identical to a
+// run_campaign makes one pass over the primaries (the first cell with
+// each fingerprint) as parallel tasks on the shared pool: each replays
+// its cache hit (read, hash, compare against the meta; the verified
+// hash is the outcome's result_hash, so each hit is hashed exactly
+// once) or executes its miss (each sweep internally parallel too).  A
+// later cell with the same fingerprint (an alias) runs inside its
+// primary's task, after it: it replays the entry the primary committed
+// (under --fresh too) and executes only when the primary failed, so
+// two cells with one fingerprint never execute at once.
+// CampaignOptions::cell_parallelism caps how many primaries are in
+// flight; fail_fast caps it at 1, stops at the first failure, and
+// marks every later cell in plan order skipped (emitting nothing).
+// Report and JSONL emission stay in deterministic plan order
+// regardless — per-cell output is buffered and flushed as the
+// contiguous done-prefix grows, so buffered bytes are bounded by the
+// out-of-order window — and the stream is byte-identical to a
 // sequential run.  The JSONL stream interleaves one
 // adacheck-campaign-cell-v1 header line per cell with that cell's
 // adacheck-cell-v2 body lines (cached or fresh — same bytes), and a
@@ -118,16 +120,17 @@ struct CellOutcome {
 };
 
 struct CampaignOptions {
-  /// Replay cached cells (--resume, the default); false (--fresh)
-  /// re-executes everything and overwrites the cache.
+  /// Replay cached cells (the default); false (--fresh) re-executes
+  /// every primary and overwrites the cache (aliases still replay it).
   bool resume = true;
-  /// Stop at the first failed cell, marking the rest skipped.
+  /// Stop at the first failed cell in plan order, marking every later
+  /// cell skipped.
   bool fail_fast = false;
   /// Parallelism cap for each cell's sweep; -1 = keep each scenario's
   /// own config.threads.  Never part of the fingerprint.
   int threads = -1;
-  /// Cells verified (cache hits) or executed (misses) at once: 0 =
-  /// shared-pool width, 1 = strictly sequential (also forced by
+  /// Primaries replayed (cache hits) or executed (misses) at once:
+  /// 0 = shared-pool width, 1 = strictly sequential (also forced by
   /// fail_fast).  Results and the emitted report/JSONL bytes are
   /// identical for every value.
   int cell_parallelism = 0;
@@ -231,8 +234,10 @@ struct CacheGcResult {
 CacheGcResult cache_gc(const std::string& cache_dir,
                        const CacheGcOptions& options = {});
 
-/// Parses a human age like "30" (seconds), "45s", "30m", "12h", or
-/// "7d" into seconds.  Throws std::invalid_argument on junk.
+/// Parses a human age like "30" (seconds), "45s", "1.5h", "7d" or "2w"
+/// into seconds: a non-negative decimal number (digits and one point)
+/// and an optional unit.  Throws std::invalid_argument on anything
+/// else ("nan", "inf", hex, a sign) and on an infinite result.
 double parse_duration_seconds(const std::string& text);
 
 }  // namespace adacheck::campaign

@@ -1,41 +1,12 @@
 #include "cli/command.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
-#include "util/log.hpp"
 #include "util/text.hpp"
 
 namespace adacheck::cli {
-
-namespace {
-
-/// Log verbosity, resolved once per dispatch: the ADACHECK_LOG env
-/// var sets the baseline, an explicit --log-level flag (implicit on
-/// every command, like --help) overrides it.  Throws
-/// std::invalid_argument on an unparsable flag value; a bad env var
-/// is ignored (environments outlive any one invocation's error
-/// stream).
-void apply_log_level(const util::CliArgs& args) {
-  if (const char* env = std::getenv("ADACHECK_LOG")) {
-    if (const auto level = util::parse_log_level(env)) {
-      util::set_log_level(*level);
-    }
-  }
-  if (const auto text = args.get("log-level")) {
-    const auto level = util::parse_log_level(*text);
-    if (!level) {
-      throw std::invalid_argument(
-          "--log-level: unknown level \"" + *text +
-          "\" (use debug, info, warn, or error)");
-    }
-    util::set_log_level(*level);
-  }
-}
-
-}  // namespace
 
 CommandRegistry::CommandRegistry(std::string tool, std::string intro,
                                  std::string version)
@@ -63,7 +34,6 @@ std::vector<std::string> CommandRegistry::allowed_flags(
     allowed.push_back(flag.value_name.empty() ? flag.name + "!" : flag.name);
   }
   allowed.push_back("help!");
-  allowed.push_back("log-level");
   return allowed;
 }
 
@@ -81,9 +51,7 @@ void CommandRegistry::print_overview(std::ostream& os) const {
   os << "\n`" << tool_ << " help <command>` (or `" << tool_
      << " <command> --help`) shows a command's flags;\n`" << tool_
      << " --version` prints the code version every report and cache\n"
-        "fingerprint carries.  Every command also accepts\n"
-        "--log-level=debug|info|warn|error (the ADACHECK_LOG environment\n"
-        "variable sets the baseline).\n";
+        "fingerprint carries.\n";
 }
 
 void CommandRegistry::print_command_help(const Command& command,
@@ -171,7 +139,6 @@ int CommandRegistry::dispatch(int argc, const char* const* argv,
       print_command_help(*command, out);
       return 0;
     }
-    apply_log_level(args);
     return command->run(args);
   } catch (const std::invalid_argument& e) {
     // Flag-table violations (unknown flag with its own "did you mean",

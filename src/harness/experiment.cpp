@@ -59,27 +59,9 @@ sim::SimSetup make_setup(const ExperimentSpec& spec,
   return setup;
 }
 
-std::vector<ExperimentSpec> with_environments(
-    const std::vector<ExperimentSpec>& specs,
-    const std::vector<std::string>& environments) {
-  if (environments.empty()) {
-    throw std::invalid_argument("with_environments: no environments");
-  }
-  std::vector<ExperimentSpec> expanded;
-  expanded.reserve(specs.size() * environments.size());
-  for (const auto& env : environments) {
-    if (!model::is_known_environment(env)) {
-      throw std::invalid_argument("with_environments: unknown environment \"" +
-                                  env + "\"");
-    }
-    for (const auto& spec : specs) {
-      ExperimentSpec copy = spec;
-      copy.environment = env;
-      copy.id += "@" + env;
-      expanded.push_back(std::move(copy));
-    }
-  }
-  return expanded;
+std::string environment_id(const std::string& id,
+                           const std::string& environment) {
+  return id + "@" + environment;
 }
 
 std::uint64_t cell_seed(std::uint64_t master, std::size_t row,

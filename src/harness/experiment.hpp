@@ -3,10 +3,13 @@
 // several schemes with a shared Monte-Carlo budget.
 #pragma once
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/checkpoint.hpp"
+#include "model/fault_env.hpp"
 #include "model/speed.hpp"
 #include "sim/monte_carlo.hpp"
 
@@ -86,14 +89,40 @@ struct ExperimentResult {
 sim::SimSetup make_setup(const ExperimentSpec& spec,
                          const ExperimentRow& row);
 
-/// The environment axis of a sweep: one copy of every spec per named
-/// environment, ids suffixed "@<environment>" (e.g. "table1a@bursty-
-/// orbit").  Cell seeds depend only on (row, scheme), so the same
-/// master seed gives *paired* fault-process draws across environments
-/// — cross-environment deltas are not seed noise.
-std::vector<ExperimentSpec> with_environments(
-    const std::vector<ExperimentSpec>& specs,
-    const std::vector<std::string>& environments);
+/// The id of a spec's copy on an environment axis:
+/// "<id>@<environment>" (e.g. "table1a@bursty-orbit").
+std::string environment_id(const std::string& id,
+                           const std::string& environment);
+
+/// The environment axis of a sweep, for classic and graph specs alike:
+/// one copy of every spec per named environment, ids spelled by
+/// environment_id.  Cell seeds depend only on (row, scheme), so the
+/// same master seed gives *paired* fault-process draws across
+/// environments — cross-environment deltas are not seed noise.  Throws
+/// std::invalid_argument on an empty axis or an unknown environment.
+template <typename Spec>
+std::vector<Spec> with_environments(
+    const std::vector<Spec>& specs,
+    const std::vector<std::string>& environments) {
+  if (environments.empty()) {
+    throw std::invalid_argument("with_environments: no environments");
+  }
+  std::vector<Spec> expanded;
+  expanded.reserve(specs.size() * environments.size());
+  for (const auto& env : environments) {
+    if (!model::is_known_environment(env)) {
+      throw std::invalid_argument("with_environments: unknown environment \"" +
+                                  env + "\"");
+    }
+    for (const auto& spec : specs) {
+      Spec copy = spec;
+      copy.environment = env;
+      copy.id = environment_id(spec.id, env);
+      expanded.push_back(std::move(copy));
+    }
+  }
+  return expanded;
+}
 
 /// Seed for the (row, scheme) cell: decorrelates cells while keeping
 /// every cell reproducible.  Shared by run_experiment and run_sweep so

@@ -42,29 +42,6 @@ void GraphExperimentSpec::validate() const {
   }
 }
 
-std::vector<GraphExperimentSpec> graphs_with_environments(
-    const std::vector<GraphExperimentSpec>& specs,
-    const std::vector<std::string>& environments) {
-  if (environments.empty()) {
-    throw std::invalid_argument("graphs_with_environments: no environments");
-  }
-  std::vector<GraphExperimentSpec> expanded;
-  expanded.reserve(specs.size() * environments.size());
-  for (const auto& env : environments) {
-    if (!model::is_known_environment(env)) {
-      throw std::invalid_argument(
-          "graphs_with_environments: unknown environment \"" + env + "\"");
-    }
-    for (const auto& spec : specs) {
-      GraphExperimentSpec copy = spec;
-      copy.environment = env;
-      copy.id += "@" + env;
-      expanded.push_back(std::move(copy));
-    }
-  }
-  return expanded;
-}
-
 std::uint64_t graph_cell_seed(std::uint64_t master,
                               std::size_t row) noexcept {
   return util::derive_seed(master, (row << 8) ^ 0xDA6ULL);

@@ -55,12 +55,6 @@ struct GraphExperimentResult {
   std::vector<std::vector<sim::MetricValues>> metrics;  ///< same shape
 };
 
-/// The environment axis, mirroring with_environments for classic
-/// specs: one copy per environment, ids suffixed "@<environment>".
-std::vector<GraphExperimentSpec> graphs_with_environments(
-    const std::vector<GraphExperimentSpec>& specs,
-    const std::vector<std::string>& environments);
-
 /// Seed for a graph cell: derived from the lambda row only, so the
 /// scheduler columns of one row see paired fault draws — policy deltas
 /// are never seed noise.  Distinct from cell_seed's domain.

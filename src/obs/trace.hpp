@@ -67,8 +67,8 @@ class Tracer {
   /// {"displayTimeUnit":"ms","traceEvents":[...]}.
   void write_json(std::ostream& os) const;
 
-  /// write_json to a file; returns false (and logs nothing — obs sits
-  /// below util/log) when the file cannot be opened.
+  /// write_json to a file; returns false (and writes nothing else)
+  /// when the file cannot be opened.
   bool write_file(const std::string& path) const;
 
   /// Drops all buffered events.  Tests only.

@@ -7,16 +7,17 @@ namespace adacheck::scenario {
 namespace {
 
 /// Each entry's spec in document order, crossed with its environment
-/// axis by `expand` when it has one.
-template <typename Spec, typename Expand>
+/// axis when it has one.
+template <typename Spec>
 std::vector<Spec> bind_entries(
-    const std::vector<ScenarioEntry<Spec>>& entries, Expand expand) {
+    const std::vector<ScenarioEntry<Spec>>& entries) {
   std::vector<Spec> specs;
   for (const auto& entry : entries) {
     if (entry.environments.empty()) {
       specs.push_back(entry.spec);
     } else {
-      auto expanded = expand({entry.spec}, entry.environments);
+      auto expanded =
+          harness::with_environments<Spec>({entry.spec}, entry.environments);
       specs.insert(specs.end(), std::make_move_iterator(expanded.begin()),
                    std::make_move_iterator(expanded.end()));
     }
@@ -28,12 +29,12 @@ std::vector<Spec> bind_entries(
 
 std::vector<harness::ExperimentSpec> bind_experiments(
     const ScenarioSpec& scenario) {
-  return bind_entries(scenario.experiments, harness::with_environments);
+  return bind_entries(scenario.experiments);
 }
 
 std::vector<harness::GraphExperimentSpec> bind_graphs(
     const ScenarioSpec& scenario) {
-  return bind_entries(scenario.graphs, harness::graphs_with_environments);
+  return bind_entries(scenario.graphs);
 }
 
 sim::MonteCarloConfig monte_carlo_config(const ScenarioSpec& scenario) {

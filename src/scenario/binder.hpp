@@ -1,8 +1,8 @@
 // Binds a parsed ScenarioSpec to the harness.  The parser already
 // built every harness spec (paper tables resolved, grids expanded), so
 // binding only expands environment axes via harness::with_environments
-// / graphs_with_environments ("id@env" naming) and lowers the config
-// block onto a sim::MonteCarloConfig.
+// ("id@env" naming) and lowers the config block onto a
+// sim::MonteCarloConfig.
 #pragma once
 
 #include "harness/sweep.hpp"
@@ -17,7 +17,7 @@ std::vector<harness::ExperimentSpec> bind_experiments(
 
 /// The DAG experiment specs from the scenario's "graphs" array, in
 /// document order (environment axes expand in place via
-/// harness::graphs_with_environments, "id@env" naming).
+/// harness::with_environments, "id@env" naming).
 std::vector<harness::GraphExperimentSpec> bind_graphs(
     const ScenarioSpec& spec);
 

@@ -8,7 +8,6 @@
 #include "model/fault_env.hpp"
 #include "policy/factory.hpp"
 #include "sched/scheduler.hpp"
-#include "scenario/binder.hpp"
 #include "scenario/schema.hpp"
 #include "sim/metrics.hpp"
 #include "util/file.hpp"
@@ -656,20 +655,26 @@ ScenarioSpec parse_scenario(const util::json::Value& root) {
   }
 
   // Bound ids must be unique across both lists: the sweep report keys
-  // cells by them.
+  // cells by them.  They are spelled here as binding spells them, from
+  // each entry's id and environment axis, without binding.
   std::vector<std::string> seen;
-  const auto claim = [&](std::vector<std::string> ids,
-                         const std::string& where) {
-    for (auto& id : ids) {
-      if (std::find(seen.begin(), seen.end(), id) != seen.end()) {
-        fail(where, "duplicate experiment id \"" + id +
-                        "\" (use an environment axis or distinct ids)");
+  const auto claim_id = [&](std::string id, const std::string& where) {
+    if (std::find(seen.begin(), seen.end(), id) != seen.end()) {
+      fail(where, "duplicate experiment id \"" + id +
+                      "\" (use an environment axis or distinct ids)");
+    }
+    seen.push_back(std::move(id));
+  };
+  const auto claim = [&](const auto& entries, const std::string& where) {
+    for (const auto& entry : entries) {
+      if (entry.environments.empty()) claim_id(entry.spec.id, where);
+      for (const auto& env : entry.environments) {
+        claim_id(harness::environment_id(entry.spec.id, env), where);
       }
-      seen.push_back(std::move(id));
     }
   };
-  claim(spec_ids(bind_experiments(spec)), "experiments");
-  claim(spec_ids(bind_graphs(spec)), "graphs");
+  claim(spec.experiments, "experiments");
+  claim(spec.graphs, "graphs");
   return spec;
 }
 

@@ -75,6 +75,4 @@ std::optional<std::string> LineClient::recv_line() {
   }
 }
 
-void LineClient::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
-
 }  // namespace adacheck::serve

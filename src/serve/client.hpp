@@ -25,9 +25,6 @@ class LineClient {
   /// Next '\n'-terminated line, terminator stripped; nullopt on EOF.
   std::optional<std::string> recv_line();
 
-  /// Half-closes the write side (tells the server no more requests).
-  void shutdown_write();
-
  private:
   int fd_ = -1;
   std::string buffer_;

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "harness/stream_report.hpp"
 #include "obs/registry.hpp"
@@ -762,16 +764,24 @@ TEST_F(CampaignTest, FailFastSkipsTheRemainingCells) {
   CampaignOptions options;
   options.threads = 1;
   options.fail_fast = true;
-  options.before_execute = [](const CampaignCell&) {
+  std::atomic<int> attempts{0};
+  options.before_execute = [&](const CampaignCell&) {
+    ++attempts;
+    // Slow enough that cells started beside this one would be seen.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
     throw std::runtime_error("injected failure");
   };
-  const auto result = run_campaign(mini_campaign({1, 2}), options);
-  ASSERT_EQ(result.outcomes.size(), 2u);
+  const auto result = run_campaign(mini_campaign({1, 2, 3, 4}), options);
+  ASSERT_EQ(result.outcomes.size(), 4u);
   EXPECT_EQ(result.outcomes[0].status, CellStatus::kFailed);
   EXPECT_NE(result.outcomes[0].error.find("injected failure"),
             std::string::npos);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kSkipped);
+  for (std::size_t i = 1; i < result.outcomes.size(); ++i) {
+    EXPECT_EQ(result.outcomes[i].status, CellStatus::kSkipped) << i;
+  }
   EXPECT_TRUE(result.any_failed());
+  // No cell after the failure is even attempted.
+  EXPECT_EQ(attempts.load(), 1);
 }
 
 TEST_F(CampaignTest, WithoutFailFastEveryCellIsAttempted) {
@@ -849,7 +859,10 @@ TEST(CampaignFiles, EveryShippedCampaignValidatesAndPlans) {
 // --- concurrent execution ------------------------------------------------
 
 TEST_F(CampaignTest, ConcurrentMissesMatchSequentialByteForByte) {
-  const auto spec = mini_campaign({1, 2, 3, 4});
+  auto spec = mini_campaign({1, 2, 3, 4});
+  // A fifth cell repeats the second's fingerprint: an alias, replayed
+  // inside its primary's task.
+  spec.matrix.push_back(mini_campaign({2}).matrix[0]);
 
   CampaignOptions sequential;
   sequential.cell_parallelism = 1;
@@ -866,11 +879,16 @@ TEST_F(CampaignTest, ConcurrentMissesMatchSequentialByteForByte) {
   parallel.status = &par_status;
   const auto par = run_campaign(spec, parallel);
 
-  ASSERT_EQ(seq.outcomes.size(), 4u);
+  ASSERT_EQ(seq.outcomes.size(), 5u);
+  ASSERT_EQ(seq.plan.cells[4].fingerprint, seq.plan.cells[1].fingerprint);
   for (std::size_t i = 0; i < seq.outcomes.size(); ++i) {
-    EXPECT_EQ(par.outcomes[i].status, CellStatus::kExecuted);
+    const CellStatus expected = i < 4 ? CellStatus::kExecuted
+                                      : CellStatus::kCached;
+    EXPECT_EQ(seq.outcomes[i].status, expected) << i;
+    EXPECT_EQ(par.outcomes[i].status, expected) << i;
     EXPECT_EQ(par.outcomes[i].result_hash, seq.outcomes[i].result_hash);
   }
+  EXPECT_EQ(par.outcomes[4].result_hash, par.outcomes[1].result_hash);
   // Emission is plan-ordered regardless of completion order, so the
   // streams are byte-identical at any parallelism.
   EXPECT_EQ(par_jsonl.str(), seq_jsonl.str());
@@ -895,6 +913,51 @@ TEST_F(CampaignTest, DuplicateFingerprintsExecuteOnce) {
   EXPECT_EQ(result.outcomes[0].status, CellStatus::kExecuted);
   EXPECT_EQ(result.outcomes[1].status, CellStatus::kCached);
   EXPECT_EQ(result.outcomes[0].result_hash, result.outcomes[1].result_hash);
+
+  // --fresh re-executes the first occurrence and overwrites its entry;
+  // the duplicate still replays what it just committed.
+  options.resume = false;
+  const auto fresh = run_campaign(spec, options);
+  EXPECT_EQ(fresh.outcomes[0].status, CellStatus::kExecuted);
+  EXPECT_EQ(fresh.outcomes[1].status, CellStatus::kCached);
+  EXPECT_EQ(fresh.outcomes[1].runs_executed, 0);
+  EXPECT_EQ(fresh.outcomes[1].result_hash, fresh.outcomes[0].result_hash);
+}
+
+TEST_F(CampaignTest, FailFastSkipsADuplicateThatFollowsTheFailure) {
+  // Plan: seed 1, seed 2 (fails), seed 1 again.  The third cell
+  // replays inside the first one's task before the second fails, but
+  // it comes after the failure in plan order: skipped, nothing emitted.
+  auto spec = mini_campaign({1, 2});
+  spec.matrix.push_back(mini_campaign({1}).matrix[0]);
+
+  CampaignOptions options;
+  options.fail_fast = true;
+  options.before_execute = [](const CampaignCell& cell) {
+    if (cell.seed == 2) throw std::runtime_error("injected failure");
+  };
+  std::ostringstream jsonl, status;
+  options.jsonl = &jsonl;
+  options.status = &status;
+  const auto result = run_campaign(spec, options);
+
+  ASSERT_EQ(result.outcomes.size(), 3u);
+  ASSERT_EQ(result.plan.cells[2].fingerprint, result.plan.cells[0].fingerprint);
+  EXPECT_EQ(result.outcomes[0].status, CellStatus::kExecuted);
+  EXPECT_EQ(result.outcomes[1].status, CellStatus::kFailed);
+  EXPECT_EQ(result.outcomes[2].status, CellStatus::kSkipped);
+  EXPECT_TRUE(result.outcomes[2].result_hash.empty());
+
+  const std::string stream = jsonl.str();
+  std::size_t headers = 0;
+  for (auto pos = stream.find("adacheck-campaign-cell-v1");
+       pos != std::string::npos;
+       pos = stream.find("adacheck-campaign-cell-v1", pos + 1)) {
+    ++headers;
+  }
+  EXPECT_EQ(headers, 2u) << stream;
+  EXPECT_EQ(stream.find("\"cell\":2"), std::string::npos) << stream;
+  EXPECT_EQ(status.str().find("[3/3]"), std::string::npos) << status.str();
 }
 
 // --- cache inspection (ls / gc) ------------------------------------------
@@ -1071,6 +1134,14 @@ TEST(CampaignDuration, ParsesUnitsAndRejectsJunk) {
   EXPECT_THROW(parse_duration_seconds("10x"), std::invalid_argument);
   EXPECT_THROW(parse_duration_seconds("-5m"), std::invalid_argument);
   EXPECT_THROW(parse_duration_seconds("m"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("nanh"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("infd"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("inf"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("0x1"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("+5m"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds("1.2.3s"), std::invalid_argument);
+  EXPECT_THROW(parse_duration_seconds(std::string(400, '9') + "w"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -733,6 +733,7 @@ TEST(Verbs, BadInvocationsExitWithAReason) {
       {run + " --seed=-1", 2, "--seed must be >= 0"},
       {run + " --threads=4097", 2, "--threads must be in"},
       {run + " --budget=-1", 2, "budget flags: "},
+      {run + " --log-level=debug", 2, "unknown flag"},
       {run + " --jsonl=-", 2, "--jsonl needs a file path"},
       {run + " --jsonl" + nowhere, 1, "cannot open JSONL output file"},
       {run + " --runs=1 --out" + nowhere, 1, "cannot open output file"},
@@ -746,7 +747,7 @@ TEST(Verbs, BadInvocationsExitWithAReason) {
       {"run " + shipped("dag_policy_sweep.json") + " --dry-run", 0,
        "graph of 7 nodes"},
       {"campaign", 2, "campaign expects one campaign file"},
-      {campaign + " --fresh --resume", 2, "mutually exclusive"},
+      {campaign + " --resume", 2, "unknown flag"},
       {campaign + " --jsonl=-", 2, "--jsonl needs a file path"},
       {campaign + " --cells=4097", 2, "--cells must be in [0, 4096]"},
       {campaign + " --jsonl" + nowhere, 1, "cannot open JSONL output file"},
@@ -754,6 +755,9 @@ TEST(Verbs, BadInvocationsExitWithAReason) {
       {"campaign ls " + shipped("campaign_smoke.json"), 0, " 0 entries"},
       {"campaign gc", 2, "campaign gc needs --cache DIR"},
       {"campaign gc --cache=c --older-than=soon", 2, "--older-than: "},
+      {"campaign gc --cache=c --older-than=nanh", 2, "--older-than: "},
+      {"campaign gc --cache=c --older-than=infd", 2, "--older-than: "},
+      {"campaign gc --cache=c --older-than=0x1", 2, "--older-than: "},
       {"validate", 2, "validate expects at least one"},
       {"validate no/such/dir/x.json", 1, "cannot open file"},
       {"validate bad.json", 1, "bad.json: "},

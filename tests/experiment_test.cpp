@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/graph_experiment.hpp"
 #include "harness/paper_params.hpp"
 
 namespace adacheck::harness {
@@ -103,7 +104,7 @@ TEST(Experiment, MakeSetupResolvesTheEnvironment) {
 
 TEST(Experiment, WithEnvironmentsExpandsTheAxis) {
   const auto expanded = with_environments(
-      {tiny_spec()}, {"poisson", "bursty-orbit", "common-cause"});
+      std::vector{tiny_spec()}, {"poisson", "bursty-orbit", "common-cause"});
   ASSERT_EQ(expanded.size(), 3u);
   EXPECT_EQ(expanded[0].id, "tiny@poisson");
   EXPECT_EQ(expanded[0].environment, "poisson");
@@ -111,9 +112,17 @@ TEST(Experiment, WithEnvironmentsExpandsTheAxis) {
   EXPECT_EQ(expanded[1].environment, "bursty-orbit");
   EXPECT_EQ(expanded[2].id, "tiny@common-cause");
   for (const auto& spec : expanded) EXPECT_NO_THROW(spec.validate());
-  EXPECT_THROW(with_environments({tiny_spec()}, {}), std::invalid_argument);
-  EXPECT_THROW(with_environments({tiny_spec()}, {"nope"}),
+  EXPECT_THROW(with_environments(std::vector{tiny_spec()}, {}),
                std::invalid_argument);
+  EXPECT_THROW(with_environments(std::vector{tiny_spec()}, {"nope"}),
+               std::invalid_argument);
+
+  GraphExperimentSpec graph;
+  graph.id = "dag";
+  const auto graphs = with_environments(std::vector{graph}, {"weibull-infant"});
+  ASSERT_EQ(graphs.size(), 1u);
+  EXPECT_EQ(graphs[0].id, "dag@weibull-infant");
+  EXPECT_EQ(graphs[0].environment, "weibull-infant");
 }
 
 TEST(Experiment, EnvironmentChangesResultsButKeepsPoissonBitIdentical) {

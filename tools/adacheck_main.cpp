@@ -366,7 +366,6 @@ int cmd_run(const util::CliArgs& args) {
 
 const std::vector<cli::Flag> kCampaignFlags = {
     {"cache", "DIR", "result cache directory (overrides \"cache_dir\")"},
-    {"resume", "", "replay cached cells, execute only misses (default)"},
     {"fresh", "", "ignore the cache, re-execute and overwrite everything"},
     {"fail-fast", "", "stop at the first failed cell, skip the rest"},
     {"threads", "T", "per-cell parallelism cap and shared-pool size"},
@@ -493,10 +492,6 @@ int cmd_campaign(const util::CliArgs& args) {
   }
   const auto spec = campaign::load_campaign_file(args.positional()[1]);
 
-  if (args.get_bool("fresh", false) && args.get_bool("resume", false)) {
-    std::cerr << "--fresh and --resume are mutually exclusive\n";
-    return 2;
-  }
   // -1 stands for "not given": each cell keeps its scenario's threads.
   const std::int64_t threads =
       args.has("threads") ? args.get_int("threads", 0) : -1;

@@ -89,7 +89,12 @@ class FaultTrace {
 /// The stochastic implementation draws exponentials; the replay
 /// implementation walks a FaultTrace.  `exposure` elapses only while
 /// the pair is vulnerable (the engine controls what counts).  Queries
-/// need not be idempotent: the engine makes each one once.
+/// need not be idempotent: the engine makes each one once.  The three
+/// stochastic sources below promise more: a query at or before the
+/// pending arrival returns that arrival and draws nothing, so the
+/// engine, specialised on one of them, may skip queries that could only
+/// repeat an answer it holds (a clean SCP/CCP attempt asks once, not
+/// once per sub-window); through this interface it skips none.
 class FaultSource {
  public:
   virtual ~FaultSource() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -23,26 +24,81 @@ struct Overhead {
   double time = 0.0;  ///< cycles / f
 };
 
-/// A decision's speed level as the engine charges it, bound once when
-/// the decision first executes: the meter slot, V^2, and each
-/// checkpoint operation's duration at this frequency.
-struct BoundSpeed {
-  double frequency = 0.0;
+/// A decision's plan as the engine executes it, bound when the decision
+/// first executes and kept while later decisions repeat it (the fixed
+/// schemes return the same plan after every fault): the speed level's
+/// meter slot, V^2 and checkpoint durations, and what every full-window
+/// attempt of the plan shares.
+struct BoundPlan {
+  double frequency = 0.0;  ///< 0 until the first bind: binds no decision
+  double voltage = 0.0;
+  double cscp_interval = 0.0;  ///< Itv
+  double sub_interval = 0.0;   ///< itv as decided (kNone may carry 0)
+  InnerKind inner = InnerKind::kNone;
   double v2 = 0.0;       ///< energy per cycle, voltage * voltage
   std::size_t slot = 0;  ///< EnergyMeter::slot(frequency)
   Overhead store;        ///< t_s
   Overhead compare;      ///< t_cp
   Overhead cscp;         ///< t_s + t_cp
   Overhead rollback;     ///< t_r
+  /// R*: an attempt with at least this many remaining cycles runs the
+  /// whole Itv (full_window_threshold).
+  double full_threshold = kInf;
+  // A full window: its sub-interval length (min(itv, Itv), or Itv for
+  // kNone), sub count, and last sub-interval's length.
+  double full_sub = 0.0;
+  int full_subs = 1;
+  double full_last = 0.0;
+
+  bool binds(const Decision& d) const noexcept {
+    return d.speed.frequency == frequency && d.speed.voltage == voltage &&
+           d.cscp_interval == cscp_interval &&
+           d.sub_interval == sub_interval && d.inner == inner;
+  }
 };
 
-BoundSpeed bind_speed(const model::SpeedLevel& level,
-                      const model::CheckpointCosts& costs,
-                      model::EnergyMeter& meter) {
-  const double f = level.frequency;
+/// Number of sub-intervals in a window of `outer` time, preserving the
+/// planned sub length `sub` (the paper inserts checkpoints by length);
+/// the last one may be shorter.
+int sub_count(double outer, double sub) {
+  return std::max(1, static_cast<int>(std::ceil(outer / sub - 1e-9)));
+}
+
+BoundPlan bind_plan(const Decision& d, const model::CheckpointCosts& costs,
+                    model::EnergyMeter& meter) {
+  const double f = d.speed.frequency;
   const auto op = [f](double cycles) { return Overhead{cycles, cycles / f}; };
-  return {f, level.voltage * level.voltage, meter.slot(f), op(costs.store),
-          op(costs.compare), op(costs.cscp()), op(costs.rollback)};
+  BoundPlan plan{.frequency = f,
+                 .voltage = d.speed.voltage,
+                 .cscp_interval = d.cscp_interval,
+                 .sub_interval = d.sub_interval,
+                 .inner = d.inner,
+                 .v2 = d.speed.voltage * d.speed.voltage,
+                 .slot = meter.slot(f),
+                 .store = op(costs.store),
+                 .compare = op(costs.compare),
+                 .cscp = op(costs.cscp()),
+                 .rollback = op(costs.rollback),
+                 .full_threshold = full_window_threshold(d.cscp_interval, f),
+                 .full_sub = d.cscp_interval,
+                 .full_last = d.cscp_interval};
+  // A kNone plan may carry itv 0: it is one sub-interval, uncounted.
+  if (d.inner != InnerKind::kNone) {
+    plan.full_sub = std::min(d.sub_interval, d.cscp_interval);
+    plan.full_subs = sub_count(d.cscp_interval, plan.full_sub);
+    plan.full_last = d.cscp_interval -
+                     static_cast<double>(plan.full_subs - 1) * plan.full_sub;
+  }
+  return plan;
+}
+
+/// The least double above x, std::nextafter(x, +inf): for finite x > 0
+/// the next bit pattern, without the libm call.
+double next_up(double x) noexcept {
+  if (x > 0.0 && x < kInf) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) + 1);
+  }
+  return std::nextafter(x, kInf);
 }
 
 [[noreturn]] void reject_replica(int processor, int processors) {
@@ -68,6 +124,16 @@ struct EngineState {
   unsigned carry_mask = 0;  ///< replicas corrupted by trailing overhead ops
   double last_frequency = 0.0;
   std::size_t steps = 0;
+  /// Untraced and without overhead faults: clean attempts may commit
+  /// in the clean-attempt block.
+  bool clean_commits = false;
+
+  /// Whether a query at or before the source's pending arrival returns
+  /// that arrival and draws nothing, so one answer holds for every
+  /// cursor up to it: true of the concrete Poisson, MMPP and renewal
+  /// sources, not promised through the type-erased model::FaultSource.
+  static constexpr bool kStableArrival =
+      !std::is_same_v<Source, model::FaultSource>;
 
   int redundancy() const noexcept { return setup->fault_model.processors; }
 
@@ -109,7 +175,7 @@ struct EngineState {
     unsigned mask = 0;
     const double window_end = exposure + span;
     for (FaultQuery q = first; q.time < window_end;
-         q = next_fault(std::nextafter(q.time, kInf))) {
+         q = next_fault(next_up(q.time))) {
       const int processor = q.processor;
       if constexpr (std::is_same_v<Source, model::FaultSource>) {
         // Stochastic sources draw below(processors); a replayed or
@@ -135,30 +201,30 @@ struct EngineState {
     return mask;
   }
 
-  /// Executes a computation window of `duration` time at `speed`,
-  /// starting from `first`, the source's answer for its start.
+  /// Executes a computation window of `duration` time at `plan`'s
+  /// speed, starting from `first`, the source's answer for its start.
   /// Returns the replica-fault mask for the window.
-  unsigned run_computation(const BoundSpeed& speed, double duration,
+  unsigned run_computation(const BoundPlan& plan, double duration,
                            int sub_index, FaultQuery first) {
     const unsigned mask = collect_faults(duration, first);
     now += duration;
-    const double cycles = duration * speed.frequency;
-    result->meter.charge_slot(speed.slot, speed.v2, cycles);
+    const double cycles = duration * plan.frequency;
+    result->meter.charge_slot(plan.slot, plan.v2, cycles);
     trace(TraceEventKind::kSegment, cycles, sub_index);
     return mask;
   }
 
-  /// Executes a checkpoint/vote/rollback operation `op` at `speed`.
-  /// Faults strike during the operation only when
+  /// Executes a checkpoint/vote/rollback operation `op` at `plan`'s
+  /// speed.  Faults strike during the operation only when
   /// faults_during_overhead is set.
-  unsigned run_overhead(const BoundSpeed& speed, const Overhead& op) {
+  unsigned run_overhead(const BoundPlan& plan, const Overhead& op) {
     if (op.cycles <= 0.0) return 0;
     unsigned mask = 0;
     if (setup->fault_model.faults_during_overhead) {
       mask = collect_faults(op.time, next_fault(exposure));
     }
     now += op.time;
-    result->meter.charge_slot(speed.slot, speed.v2, op.cycles);
+    result->meter.charge_slot(plan.slot, plan.v2, op.cycles);
     return mask;
   }
 };
@@ -196,7 +262,7 @@ enum class AttemptOutcome {
   kFaultDetected,   ///< rolled back; policy must re-plan
 };
 
-/// Executes one outer interval under `decision`.
+/// Executes one outer interval under `plan`.
 ///
 /// DMR (2 replicas): any comparison that sees corruption triggers a
 /// rollback — to the last good SCP (SCP mode) or the interval start
@@ -209,49 +275,82 @@ enum class AttemptOutcome {
 /// mode).
 template <typename Source>
 AttemptOutcome execute_interval(EngineState<Source>& st,
-                                const Decision& decision,
-                                const BoundSpeed& speed) {
-  const double f = speed.frequency;
+                                const BoundPlan& plan) {
+  const double f = plan.frequency;
   const int n_rep = st.redundancy();
   const bool voting = n_rep >= 3;
 
   // Clamp the plan to the remaining work.  Interval lengths are wall
-  // clock at the current speed; work is cycles.
-  const double remaining_time = st.remaining_cycles() / f;
-  const double itv_outer = std::min(decision.cscp_interval, remaining_time);
-  double itv_sub = decision.inner == InnerKind::kNone
-                       ? itv_outer
-                       : std::min(decision.sub_interval, itv_outer);
-  if (!(itv_outer > 0.0) || !(itv_sub > 0.0)) {
-    throw std::invalid_argument("engine: non-positive checkpoint interval");
+  // clock at the current speed; work is cycles.  From R* remaining
+  // cycles up, std::min(Itv, remaining / f) is Itv, so a full window
+  // is the bound one, without a division.  A kNone window is one
+  // sub-interval (its sub count would divide x by x).
+  double itv_outer = plan.cscp_interval;
+  double itv_sub = plan.full_sub;
+  int n_subs = plan.full_subs;
+  double last_window = plan.full_last;
+  const double remaining = st.remaining_cycles();
+  if (!(remaining >= plan.full_threshold)) {
+    const bool has_inner = plan.inner != InnerKind::kNone;
+    itv_outer = std::min(plan.cscp_interval, remaining / f);
+    itv_sub = has_inner ? std::min(plan.sub_interval, itv_outer) : itv_outer;
+    if (!(itv_outer > 0.0) || !(itv_sub > 0.0)) {
+      throw std::invalid_argument("engine: non-positive checkpoint interval");
+    }
+    n_subs = has_inner ? sub_count(itv_outer, itv_sub) : 1;
+    last_window = itv_outer - static_cast<double>(n_subs - 1) * itv_sub;
   }
+
   // The first window's step and fault query, shared by both paths.
   st.bump_steps();
   auto query = st.next_fault(st.exposure);
 
-  // Clean-attempt branch: a plain CSCP interval with nothing carried
-  // in, untraced, whose one window has no fault, commits here with the
-  // general path's floating-point operations in the same order (its
-  // window is itv_outer, and no fault can strike the CSCP).  Any other
-  // attempt continues below from the answer already fetched.
-  const double window_end = st.exposure + itv_outer;
-  if (decision.inner == InnerKind::kNone && st.carry_mask == 0 &&
-      !st.config->record_trace &&
-      !st.setup->fault_model.faults_during_overhead &&
-      !(query.time < window_end)) {
-    st.exposure = window_end;
-    st.now += itv_outer;
-    st.result->meter.charge_slot(speed.slot, speed.v2, itv_outer * f);
-    st.run_overhead(speed, speed.cscp);  // no overhead faults: no query
-    ++st.result->checkpoints_cscp;
-    st.committed += itv_outer * f;
-    return AttemptOutcome::kCommitted;
+  // Clean-attempt block: an attempt with nothing carried in, untraced
+  // and without overhead faults, whose windows all miss the fault
+  // answered, commits here in straight-line code with the general
+  // path's floating-point operations in the same order, counting the
+  // steps its later windows take.  A concrete source answers a query
+  // at or before its pending arrival with that arrival and draws
+  // nothing, so the first answer decides every window and the later
+  // queries are skipped; through a type-erased source only a
+  // one-window attempt comes here.  Any other attempt, and one that
+  // would trip the step limit, continues below from the answer
+  // already fetched.
+  bool clean_block =
+      st.carry_mask == 0 && st.clean_commits &&
+      static_cast<std::size_t>(n_subs - 1) <=
+          st.config->max_steps - st.steps;
+  if constexpr (!EngineState<Source>::kStableArrival) {
+    clean_block = clean_block && n_subs == 1;
   }
-
-  // Number of sub-intervals, preserving the planned sub length (the
-  // paper inserts checkpoints by length); the last one may be shorter.
-  const double n_real = itv_outer / itv_sub;
-  const int n_subs = std::max(1, static_cast<int>(std::ceil(n_real - 1e-9)));
+  if (clean_block) {
+    // The windows' exposure, summed as collect_faults sums it.  The
+    // partial sums never decrease, so the last window's end bounds
+    // them all.
+    double end = st.exposure;
+    for (int i = 1; i < n_subs; ++i) end += itv_sub;
+    end += last_window;
+    if (!(query.time < end)) {
+      st.steps += static_cast<std::size_t>(n_subs - 1);
+      st.exposure = end;
+      const Overhead& inner_op =
+          plan.inner == InnerKind::kScp ? plan.store : plan.compare;
+      for (int i = 1; i < n_subs; ++i) {
+        st.now += itv_sub;
+        st.result->meter.charge_slot(plan.slot, plan.v2, itv_sub * f);
+        st.run_overhead(plan, inner_op);  // no overhead faults: no query
+      }
+      (plan.inner == InnerKind::kScp ? st.result->checkpoints_scp
+                                     : st.result->checkpoints_ccp) +=
+          n_subs - 1;
+      st.now += last_window;
+      st.result->meter.charge_slot(plan.slot, plan.v2, last_window * f);
+      st.run_overhead(plan, plan.cscp);
+      ++st.result->checkpoints_cscp;
+      st.committed += itv_outer * f;
+      return AttemptOutcome::kCommitted;
+    }
+  }
 
   // Corruption carried over from a trailing overhead fault of the
   // previous interval poisons the attempt from its start.
@@ -270,7 +369,7 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
     --st.remaining_faults;
     st.trace(TraceEventKind::kCorrection, 0.0,
              static_cast<int>(corrupt.mask));
-    const unsigned repair_mask = st.run_overhead(speed, speed.rollback);
+    const unsigned repair_mask = st.run_overhead(plan, plan.rollback);
     corrupt.clear();
     corrupt.note(op_mask | repair_mask, next_sub);
   };
@@ -282,29 +381,27 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
       st.bump_steps();
       query = st.next_fault(st.exposure);
     }
-    const double w =
-        i < n_subs ? itv_sub
-                   : itv_outer - static_cast<double>(n_subs - 1) * itv_sub;
-    corrupt.note(st.run_computation(speed, w, i, query), i);
+    const double w = i < n_subs ? itv_sub : last_window;
+    corrupt.note(st.run_computation(plan, w, i, query), i);
 
     const bool is_last = i == n_subs;
     if (!is_last) {
-      switch (decision.inner) {
+      switch (plan.inner) {
         case InnerKind::kScp: {
           // Store all replica states; no comparison, so no detection.
           // A fault during the store corrupts the stored snapshot:
           // attribute it to this sub-interval so rollback lands before.
-          const unsigned op_mask = st.run_overhead(speed, speed.store);
+          const unsigned op_mask = st.run_overhead(plan, plan.store);
           ++st.result->checkpoints_scp;
-          st.trace(TraceEventKind::kCheckpoint, speed.store.cycles, 0);
+          st.trace(TraceEventKind::kCheckpoint, plan.store.cycles, 0);
           corrupt.note(op_mask, i);
           break;
         }
         case InnerKind::kCcp: {
           // Compare the running states: sees any corruption so far.
-          const unsigned op_mask = st.run_overhead(speed, speed.compare);
+          const unsigned op_mask = st.run_overhead(plan, plan.compare);
           ++st.result->checkpoints_ccp;
-          st.trace(TraceEventKind::kCheckpoint, speed.compare.cycles, 1);
+          st.trace(TraceEventKind::kCheckpoint, plan.compare.cycles, 1);
           if (corrupt.corrupted()) {
             if (votable()) {
               // NMR: the healthy majority repairs the deviant minority;
@@ -317,7 +414,7 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
             // No majority: roll back to the interval-start CSCP.
             st.trace(TraceEventKind::kDetection);
             const unsigned rollback_mask =
-                st.run_overhead(speed, speed.rollback);
+                st.run_overhead(plan, plan.rollback);
             ++st.result->detections;
             ++st.result->rollbacks;
             --st.remaining_faults;
@@ -344,8 +441,8 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
   // t_cp + t_s whether or not the comparison agrees (the paper's lumped
   // per-checkpoint cost c; its baseline results across the two cost
   // flavors confirm the full cost is paid on mismatch too).
-  const unsigned cscp_mask = st.run_overhead(speed, speed.cscp);
-  st.trace(TraceEventKind::kCheckpoint, speed.cscp.cycles, 2);
+  const unsigned cscp_mask = st.run_overhead(plan, plan.cscp);
+  st.trace(TraceEventKind::kCheckpoint, plan.cscp.cycles, 2);
 
   if (corrupt.corrupted() && votable()) {
     // NMR: repair the deviant minority and commit the interval.
@@ -362,8 +459,8 @@ AttemptOutcome execute_interval(EngineState<Source>& st,
     ++st.result->detections;
     ++st.result->rollbacks;
     --st.remaining_faults;
-    const unsigned rollback_mask = st.run_overhead(speed, speed.rollback);
-    if (decision.inner == InnerKind::kScp) {
+    const unsigned rollback_mask = st.run_overhead(plan, plan.rollback);
+    if (plan.inner == InnerKind::kScp) {
       // Roll back to the most recent recoverable SCP: DMR needs stored
       // states that are identical (before the first fault); NMR only a
       // healthy majority (before majority loss).  That prefix is
@@ -423,6 +520,8 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
   st.faults = &fault_source;
   st.result = &result;
   st.remaining_faults = setup.task.fault_tolerance;
+  st.clean_commits = !config.record_trace &&
+                     !setup.fault_model.faults_during_overhead;
 
   ExecContext ctx;
   ctx.task = &setup.task;
@@ -450,8 +549,9 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
   validate_decision(decision);
   // Each decision is validated when the policy returns it and bound
   // when it first executes, so a decision that ends the run (abort, or
-  // one returned at the deadline) never adds an empty meter slot.
-  BoundSpeed speed;
+  // one returned at the deadline) never adds an empty meter slot.  A
+  // decision that repeats the bound plan keeps it.
+  BoundPlan plan;
   bool bound = false;
 
   const double work_eps = setup.task.cycles * 1e-12;
@@ -488,11 +588,11 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
         }
         st.last_frequency = decision.speed.frequency;
       }
-      speed = bind_speed(decision.speed, setup.costs, result.meter);
+      plan = bind_plan(decision, setup.costs, result.meter);
       bound = true;
     }
 
-    const AttemptOutcome outcome = execute_interval(st, decision, speed);
+    const AttemptOutcome outcome = execute_interval(st, plan);
     if (st.remaining_cycles() <= work_eps) {
       continue;  // done — the loop top records the outcome
     }
@@ -519,7 +619,7 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
       decision = *replacement;
     }
     validate_decision(decision);
-    bound = false;
+    bound = plan.binds(decision);
   }
 
   result.energy = result.meter.total();
@@ -529,6 +629,25 @@ RunResult run_engine(const SimSetup& setup, ICheckpointPolicy& policy,
 }
 
 }  // namespace
+
+double full_window_threshold(double cscp_interval, double frequency) {
+  // Correctly rounded division is monotone in the dividend, so the
+  // r with r / f >= Itv form an upward-closed set; Itv * f lies within
+  // a step or two of its least member.
+  double r = cscp_interval * frequency;
+  if (r / frequency < cscp_interval) {
+    do {
+      r = std::nextafter(r, kInf);
+    } while (r / frequency < cscp_interval);
+    return r;
+  }
+  for (double below = std::nextafter(r, 0.0);
+       !(below / frequency < cscp_interval);
+       below = std::nextafter(below, 0.0)) {
+    r = below;
+  }
+  return r;
+}
 
 void SimSetup::validate() const {
   task.validate();

@@ -32,8 +32,19 @@
 // renewal source, so sampling is not a virtual call; simulate with a
 // model::FaultSource& (replay, tests) is the type-erased instantiation,
 // and the only one that range-checks the replica a fault names.  Each
-// decision's speed level is bound once, when it first executes (meter
-// slot, V^2, overhead durations), and charged by slot index.
+// decision's plan is bound when it first executes and kept while later
+// decisions repeat it: the meter slot, V^2 and overhead durations
+// (energy is charged by slot index), the full-window threshold R*
+// (full_window_threshold), and a full window's sub-interval count.  An
+// attempt with at least R* cycles left runs the bound full window with
+// no division or libm call.  An untraced attempt with nothing carried
+// in and no overhead faults whose windows miss the first fault answer
+// commits in one straight-line block, inner checkpoints included, with
+// the general path's floating-point operations in the same order.  On
+// the concrete sources that answer stands for every later sub-window
+// (a query at or before the pending arrival returns it and draws
+// nothing), so an SCP/CCP attempt there asks once; through a
+// model::FaultSource& it asks once per sub-window.
 //
 // Validation: simulate and simulate_seeded validate the setup on every
 // call.  The Monte-Carlo sweep validates each cell once, before its
@@ -79,6 +90,14 @@ struct EngineConfig {
   /// this many sub-interval attempts (guards against degenerate plans).
   std::size_t max_steps = 50'000'000;
 };
+
+/// The full-window threshold R* of a plan with outer interval
+/// `cscp_interval` (Itv > 0) at `frequency` (f > 0): the least double r
+/// for which `r / f < Itv` is false, or +inf when no finite r reaches
+/// Itv.  Correctly rounded division is monotone in r, so an attempt
+/// with r remaining cycles runs the whole Itv (std::min(Itv, r / f) is
+/// Itv) exactly when r >= R*.
+double full_window_threshold(double cscp_interval, double frequency);
 
 /// Runs one job to completion / deadline / abort and returns the
 /// outcome.  `fault_source` supplies fault arrival times on the

@@ -19,7 +19,10 @@
 //
 // The engine asks its model::FaultSource each query once: a query's
 // answer is used where it was asked for and never fetched again,
-// because a source need not answer a repeated query the same way.
+// because a source need not answer a repeated query the same way.  A
+// concrete stochastic source may be asked fewer queries (a clean
+// SCP/CCP attempt asks one for all its sub-windows), because it
+// answers a query at or before its pending arrival with that arrival.
 #pragma once
 
 #include <optional>

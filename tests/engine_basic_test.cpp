@@ -8,6 +8,7 @@
 #include "policy/adaptive.hpp"
 #include "sim/engine.hpp"
 #include "tests/test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace adacheck::sim {
 namespace {
@@ -152,7 +153,7 @@ TEST(EngineBasic, StepLimitGuardsDegeneratePlans) {
 
 TEST(EngineBasic, StepLimitGuardsCleanPlainAttempts) {
   // A fault-free plain-CSCP plan, untraced: every attempt takes the
-  // clean-attempt branch, which counts its step like the general path.
+  // clean-attempt block, which counts its step like the general path.
   const auto setup = basic_setup(1'000.0, 1e9);
   ScriptedPolicy policy(plain_plan(setup, 0.01));
   EngineConfig config;
@@ -167,6 +168,83 @@ TEST(EngineBasic, StepLimitGuardsCleanPlainAttempts) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(EngineBasic, StepLimitGuardsCleanInnerAttempts) {
+  // Fault-free SCP and CCP plans through a concrete source, untraced:
+  // every attempt reaches the clean-attempt block, which counts the
+  // steps of the sub-windows it commits without querying the source.
+  const auto setup = basic_setup(1'000.0, 1e9);
+  for (InnerKind kind : {InnerKind::kScp, InnerKind::kCcp}) {
+    SCOPED_TRACE(to_string(kind));
+    // One attempt of 10^4 sub-windows, and 10^3 attempts of 10 each:
+    // both exceed 1000 steps.
+    for (double interval : {1'000.0, 1.0}) {
+      ScriptedPolicy policy(testutil::inner_plan(setup, interval, 0.1, kind));
+      EngineConfig config;
+      config.max_steps = 1'000;
+      try {
+        simulate_seeded(setup, policy, 1, config);
+        FAIL() << "expected the step limit to stop the run, Itv "
+               << interval;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("step limit exceeded"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    // 10 attempts of 10 sub-windows take exactly 100 steps.
+    const auto plan = testutil::inner_plan(setup, 100.0, 10.0, kind);
+    EngineConfig config;
+    config.max_steps = 100;
+    ScriptedPolicy fits(plan);
+    const RunResult r = simulate_seeded(setup, fits, 1, config);
+    EXPECT_TRUE(r.completed());
+    EXPECT_EQ(r.checkpoints_scp + r.checkpoints_ccp, 90);
+    config.max_steps = 99;
+    ScriptedPolicy trips(plan);
+    EXPECT_THROW(simulate_seeded(setup, trips, 1, config),
+                 std::runtime_error);
+  }
+}
+
+TEST(EngineBasic, FullWindowThresholdIsTheLeastFullWindowRemainder) {
+  // R* is the least remaining-cycles value whose window is the whole
+  // Itv: R* / f does not fall short of Itv, and the next double below
+  // R* does.
+  util::Xoshiro256 rng(0x5eed);
+  int checked = 0, failed = 0;
+  std::string first_failure;
+  const auto check = [&](double itv, double f) {
+    ++checked;
+    const double r = full_window_threshold(itv, f);
+    if (!(r / f < itv) && std::nextafter(r, 0.0) / f < itv) return;
+    if (failed++ == 0) {
+      first_failure = "Itv " + std::to_string(itv) + " f " +
+                      std::to_string(f) + " R* " + std::to_string(r);
+    }
+  };
+  for (int i = 0; i < 40'000; ++i) {
+    // Itv log-uniform over [1e-3, 1e5), at the paper's speeds and at
+    // an arbitrary one.
+    const double itv = std::pow(10.0, rng.uniform(-3.0, 5.0));
+    check(itv, 1.0);
+    check(itv, 2.0);
+    check(itv, rng.uniform(0.1, 10.0));
+  }
+  for (int i = 0; i < 20'000; ++i) {
+    // Itv = r / f for a drawn r, so Itv * f lands on or beside a
+    // representable dividend whose quotient is exactly Itv.
+    const double f = i % 2 == 0 ? 2.0 : rng.uniform(0.1, 10.0);
+    check(rng.uniform(1.0, 1e5) / f, f);
+  }
+  for (int k = 1; k <= 10'000; ++k) {
+    // Dyadic Itv: Itv * f and the quotient are exact at f = 1 and 2.
+    check(k / 64.0, 1.0);
+    check(k / 64.0, 2.0);
+  }
+  EXPECT_GE(checked, 100'000);
+  EXPECT_EQ(failed, 0) << "first: " << first_failure;
 }
 
 /// Forwards to an adaptive policy and counts the commit hook.

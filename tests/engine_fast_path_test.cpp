@@ -1,16 +1,19 @@
-// The engine's clean-attempt branch and commit rules change no result.
+// The engine's clean-attempt block and commit rules change no result.
 //
-// A clean plain-CSCP attempt commits in straight-line code, but only in
-// untraced runs, because tracing needs the general path's events; and
-// the engine applies a kKeep / kDeadlineGuard commit rule itself
-// instead of calling on_commit.  So the reference is a traced run of
-// the policy behind a wrapper that hides its commit rule (the engine
-// then asks on_commit after every clean commit).  Every RunResult
-// field, the per-frequency energy breakdown included, must match the
-// plain untraced run of the same seed bit for bit.  A counting fault
-// source also pins that both modes ask the source the same queries in
-// the same order: the branch reuses the first answer it fetched
-// instead of asking again.
+// A clean attempt, of any inner kind, commits in straight-line code,
+// but only in untraced runs, because tracing needs the general path's
+// events; and the engine applies a kKeep / kDeadlineGuard commit rule
+// itself instead of calling on_commit.  So the reference is a traced
+// run of the policy behind a wrapper that hides its commit rule (the
+// engine then asks on_commit after every clean commit).  Every
+// RunResult field, the per-frequency energy breakdown included, must
+// match the plain untraced run of the same seed bit for bit.  On the
+// concrete sources the block skips an SCP/CCP attempt's later
+// sub-window queries, so the seeded comparison pins that skipping them
+// is exact.  A counting fault source pins that through the type-erased
+// source both modes ask the same queries in the same order: the block
+// reuses the first answer it fetched instead of asking again, and an
+// SCP/CCP attempt there keeps one query per sub-window.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -119,12 +122,18 @@ std::unique_ptr<ICheckpointPolicy> make(const Variant& v) {
   return policy::make_policy(v.scheme);
 }
 
-SimSetup paper_setup(double utilization, const std::string& environment,
+/// One task, cost and fault-rate combination the variants run under.
+struct Load {
+  double utilization;
+  double rate;
+  model::CheckpointCosts costs;
+};
+
+SimSetup paper_setup(const Load& load, const std::string& environment,
                      int replicas, bool overhead_faults) {
-  return {model::task_from_utilization(utilization, 1.0, 10'000.0, 5),
-          model::CheckpointCosts::paper_scp_flavor(),
-          model::DvsProcessor::two_speed(2.0),
-          model::FaultModel{1.4e-3, overhead_faults, replicas},
+  return {model::task_from_utilization(load.utilization, 1.0, 10'000.0, 5),
+          load.costs, model::DvsProcessor::two_speed(2.0),
+          model::FaultModel{load.rate, overhead_faults, replicas},
           model::find_environment(environment)};
 }
 
@@ -140,6 +149,11 @@ bool guard_aborted(const RunResult& traced) {
 struct Coverage {
   int completed = 0;
   int guard_aborts = 0;
+  /// Untraced seeded runs without overhead faults that saw no fault and
+  /// placed SCPs (CCPs): every attempt went through the clean-attempt
+  /// block, inner checkpoints and all.
+  int clean_scp_runs = 0;
+  int clean_ccp_runs = 0;
 };
 
 /// Runs `variant` on `setup` at kSeeds seeds, reference against fast,
@@ -164,6 +178,10 @@ void expect_same_runs(const SimSetup& setup, const Variant& variant,
     if (b.faults > 0) ++faulted;
     if (b.completed()) ++coverage.completed;
     if (guard_aborted(a)) ++coverage.guard_aborts;
+    if (b.faults == 0 && !setup.fault_model.faults_during_overhead) {
+      if (b.checkpoints_scp > 0) ++coverage.clean_scp_runs;
+      if (b.checkpoints_ccp > 0) ++coverage.clean_ccp_runs;
+    }
 
     // The type-erased path, counting the source's queries.
     util::Xoshiro256 rng_a(seed), rng_b(seed);
@@ -198,19 +216,30 @@ TEST_P(FastPathEquivalence, TracedAndUntracedRunsAgreeBitForBit) {
   // U = 0.78 at f1 is a Table-1-like load, at a fault rate high enough
   // that most runs re-plan several times.  U = 1.8 needs the fast speed
   // almost throughout, so the adaptive schemes' deadline guard fires.
-  for (double utilization : {0.78, 1.8}) {
+  // At lambda = 3e-4 many runs see no fault, yet A_D_S still places
+  // SCPs under the SCP-flavor costs and A_D_C CCPs under the CCP-flavor
+  // ones, so whole runs commit through the clean-attempt block.
+  const auto scp_costs = model::CheckpointCosts::paper_scp_flavor();
+  const auto ccp_costs = model::CheckpointCosts::paper_ccp_flavor();
+  const Load loads[] = {{0.78, 1.4e-3, scp_costs},
+                        {1.8, 1.4e-3, scp_costs},
+                        {0.78, 3e-4, scp_costs},
+                        {0.78, 3e-4, ccp_costs}};
+  for (const Load& load : loads) {
     for (const auto& variant : variants) {
       for (int replicas : {2, 3}) {
         for (bool overhead_faults : {false, true}) {
           const std::string label =
-              "U=" + std::to_string(utilization) + " " + environment + " " +
+              "U=" + std::to_string(load.utilization) + " lambda=" +
+              std::to_string(load.rate) + " t_s=" +
+              std::to_string(load.costs.store) + " " + environment + " " +
               variant.scheme +
               (variant.recompute_at_commit ? "+recompute" : "") + " N=" +
               std::to_string(replicas) +
               (overhead_faults ? " overhead-faults" : "");
-          expect_same_runs(paper_setup(utilization, environment, replicas,
-                                       overhead_faults),
-                           variant, label, coverage);
+          expect_same_runs(
+              paper_setup(load, environment, replicas, overhead_faults),
+              variant, label, coverage);
           if (HasFailure()) return;
         }
       }
@@ -218,6 +247,8 @@ TEST_P(FastPathEquivalence, TracedAndUntracedRunsAgreeBitForBit) {
   }
   EXPECT_GT(coverage.completed, 0) << environment;
   EXPECT_GT(coverage.guard_aborts, 0) << environment;
+  EXPECT_GT(coverage.clean_scp_runs, 0) << environment;
+  EXPECT_GT(coverage.clean_ccp_runs, 0) << environment;
 }
 
 INSTANTIATE_TEST_SUITE_P(Environments, FastPathEquivalence,

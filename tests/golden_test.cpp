@@ -178,7 +178,7 @@ TEST(GoldenCorpus, EveryOutputByteMatchesTheCommittedManifest) {
 
 TEST(GoldenCorpus, ValidatedRunsStreamTheSameJsonl) {
   // --validate records a trace for every run, and tracing keeps the
-  // engine on its general path: no clean-attempt branch, and a policy
+  // engine on its general path: no clean-attempt block, and a policy
   // hook after every commit.  The JSONL (which, unlike the report,
   // does not echo the validate flag) must not change.
   const fs::path work = fs::path(ADACHECK_GOLDEN_WORK) / "validate";

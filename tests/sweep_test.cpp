@@ -338,7 +338,9 @@ TEST(SharedCells, EveryShippedScenarioAliasEqualsAFreshRun) {
     const auto [specs, config] = bound(shipped(file), kRuns);
     const std::size_t found =
         expect_aliases_match_fresh_runs(jobs_for(specs, config), 4);
-    if (file == "paper_tables.json") EXPECT_EQ(found, 78u);
+    if (file == "paper_tables.json") {
+      EXPECT_EQ(found, 78u);
+    }
     aliases += found;
   }
   EXPECT_GE(aliases, 78u);
